@@ -16,12 +16,14 @@ import numpy as np
 
 __all__ = [
     "ResourceLedger",
+    "Contract",
     "BlockEnc",
     "StatePrep",
     "encode_state",
     "diag_from_state",
     "diag_from_column",
     "product",
+    "product_contract",
     "lcu",
     "scale_down",
     "amplify",
@@ -72,6 +74,17 @@ class ResourceLedger:
         return {"entries": dict(self.entries), "depth_units": self.depth_units}
 
 
+@dataclass(frozen=True)
+class Contract:
+    """The (alpha, ancillas, eps) contract and ledger of an encoding whose
+    operator is applied in structured form rather than stored."""
+
+    alpha: float
+    ancillas: int
+    eps: float
+    ledger: ResourceLedger
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -106,13 +119,17 @@ class BlockEnc:
             raise ValueError("encoded operator must be square")
         if not _is_pow2(self.dim):
             raise ValueError(f"dimension {self.dim} is not a power of two")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if self.norm_bound() > self.alpha + self.eps + _NORM_TOL:
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be nonnegative and finite")
+        bound = self.norm_bound()
+        # written so that a NaN bound (from NaN data) fails it too
+        if not bound <= self.alpha + self.eps + _NORM_TOL:
+            if not np.isfinite(arr).all():
+                raise ValueError("operator data must be finite")
             raise ValueError(
-                f"operator norm {self.norm_bound():.6g} exceeds "
+                f"operator norm {bound:.6g} exceeds "
                 f"alpha + eps = {self.alpha + self.eps:.6g}"
             )
 
@@ -144,8 +161,8 @@ class BlockEnc:
         cheap = math.sqrt(
             float(np.max(np.sum(np.abs(m), axis=0)) * np.max(np.sum(np.abs(m), axis=1)))
         )
-        if cheap <= self.alpha + self.eps + _NORM_TOL:
-            return cheap
+        if cheap <= self.alpha + self.eps + _NORM_TOL or not math.isfinite(cheap):
+            return cheap  # a NaN or infinite bound needs no SVD to be rejected
         return float(np.linalg.norm(m, 2))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
@@ -247,18 +264,34 @@ def diag_from_state(prep: StatePrep) -> BlockEnc:
     return BlockEnc(prep.state.copy(), alpha=1.0, ancillas=_qubits(n) + 3, eps=0.0, ledger=ledger)
 
 
-def diag_from_column(e: BlockEnc) -> BlockEnc:
-    """Diagonalize the first column of an encoding: the composed circuit's
-    action on the all-zeros state plays the state-preparation role, and the
-    diagonalization construction turns those amplitudes into a diagonal encoding."""
-    col = np.asarray(e.op[:, 0], dtype=float) / e.alpha
-    ledger = e.ledger.adding(depth_units=_qubits(e.dim), **{"controlled-state-prep-queries": 1})
-    return BlockEnc(col, alpha=1.0, ancillas=e.ancillas + _qubits(e.dim) + 3, eps=e.eps / e.alpha, ledger=ledger)
+def diag_from_column(column: np.ndarray, contract: BlockEnc | Contract) -> BlockEnc:
+    """Diagonalize the first column of an encoded operator: the composed
+    circuit's action on the all-zeros state plays the state-preparation
+    role, and the diagonalization construction turns those amplitudes into a
+    diagonal encoding.
+
+    ``column`` is the operator's first column and ``contract`` its
+    contract, so a structured operator never has to be stored densely."""
+    col = np.asarray(column, dtype=float) / contract.alpha
+    n = col.shape[0]
+    ledger = contract.ledger.adding(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
+    return BlockEnc(col, alpha=1.0, ancillas=contract.ancillas + _qubits(n) + 3,
+                    eps=contract.eps / contract.alpha, ledger=ledger)
+
+
+def product_contract(c1: BlockEnc | Contract, c2: BlockEnc | Contract) -> Contract:
+    """Contract of A1 A2: alpha = alpha1*alpha2, ancillas add, and
+    eps <= alpha1*eps2 + alpha2*eps1, using each input once."""
+    return Contract(
+        alpha=c1.alpha * c2.alpha,
+        ancillas=c1.ancillas + c2.ancillas,
+        eps=c1.alpha * c2.eps + c2.alpha * c1.eps,
+        ledger=c1.ledger.merged(c2.ledger).adding(products=1),
+    )
 
 
 def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
-    """Block encoding of A1 A2 with alpha = alpha1*alpha2 and
-    eps <= alpha1*eps2 + alpha2*eps1, using each input once."""
+    """Block encoding of A1 A2 under :func:`product_contract`."""
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
     if e1.is_diagonal and e2.is_diagonal:
@@ -269,14 +302,8 @@ def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
         data = e1.data * e2.data[None, :]
     else:
         data = e1.data @ e2.data
-    ledger = e1.ledger.merged(e2.ledger).adding(products=1)
-    return BlockEnc(
-        data,
-        alpha=e1.alpha * e2.alpha,
-        ancillas=e1.ancillas + e2.ancillas,
-        eps=e1.alpha * e2.eps + e2.alpha * e1.eps,
-        ledger=ledger,
-    )
+    c = product_contract(e1, e2)
+    return BlockEnc(data, alpha=c.alpha, ancillas=c.ancillas, eps=c.eps, ledger=c.ledger)
 
 
 def lcu(encodings, signs=None) -> BlockEnc:

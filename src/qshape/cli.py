@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -87,15 +88,36 @@ def _load_problem(path: str) -> dict:
     return obj
 
 
+def _finite_array(raw, what: str) -> np.ndarray:
+    """A JSON list of finite numbers (possibly nested) as a float array."""
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a list of numbers")
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be a list of numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite numbers")
+    return arr
+
+
+def _parse_poly(obj) -> Poly | MultiPoly:
+    try:
+        return poly_from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad polynomial: {exc}") from exc
+
+
 def _domains(obj: dict, dim: int) -> list[tuple[float, float]]:
     raw = obj.get("domain", [[-0.5, 0.5]] * dim)
     if not isinstance(raw, list) or len(raw) != dim:
         raise InputError(f"'domain' must list one [a, b] interval per axis (dim={dim})")
     out = []
     for ab in raw:
-        if not (isinstance(ab, list) and len(ab) == 2 and ab[0] < ab[1]):
+        iv = _finite_array(ab, f"domain interval {ab!r}")
+        if iv.shape != (2,) or not iv[0] < iv[1]:
             raise InputError(f"bad domain interval {ab!r}")
-        out.append((float(ab[0]), float(ab[1])))
+        out.append((float(iv[0]), float(iv[1])))
     return out
 
 
@@ -117,6 +139,8 @@ def _to_user(t, domains):
 
 def _build_grid(obj: dict, dim: int, domains, n_flag, seed: int) -> Grid:
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
+    if not isinstance(spec, dict):
+        raise InputError("'grid' must be an object with a 'kind' field")
     kind = spec.get("kind")
     if kind == "uniform":
         n = n_flag if n_flag is not None else spec.get("n", 64)
@@ -128,9 +152,11 @@ def _build_grid(obj: dict, dim: int, domains, n_flag, seed: int) -> Grid:
             n = padded
         return Grid.uniform(n, dim=dim, seed=seed)
     if kind == "explicit":
-        pts = np.atleast_2d(np.asarray(spec.get("points"), dtype=float))
-        if pts.shape[0] == 1 and np.asarray(spec.get("points")).ndim == 1:
-            pts = pts.T
+        pts = _finite_array(spec.get("points"), "explicit grid points")
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise InputError("explicit grid points must be a nonempty list of points")
         if pts.shape[1] != dim:
             raise InputError(f"explicit points have dim {pts.shape[1]}, expected {dim}")
         if n_flag is not None:
@@ -151,7 +177,7 @@ def _weights(obj: dict, grid: Grid) -> WeightVector:
         w = WeightVector.uniform(grid.n_original)
     else:
         try:
-            w = WeightVector(np.asarray(raw, dtype=float))
+            w = WeightVector(_finite_array(raw, "weights"))
         except ValueError as exc:
             raise InputError(f"bad weights: {exc}") from exc
         if w.n != grid.n_original:
@@ -160,6 +186,8 @@ def _weights(obj: dict, grid: Grid) -> WeightVector:
 
 
 def _jsonable(v):
+    if isinstance(v, np.ndarray):
+        return _jsonable(v.tolist())
     if isinstance(v, (np.floating, float)):
         return float(v)
     if isinstance(v, (np.integer, int)):
@@ -248,7 +276,7 @@ def run(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
         problem = _load_problem(args.input)
-        f_raw = poly_from_json(problem.get("poly"))
+        f_raw = _parse_poly(problem.get("poly"))
         dim = f_raw.dim if isinstance(f_raw, MultiPoly) else 1
         domains = _domains(problem, dim)
         if isinstance(f_raw, MultiPoly):
@@ -257,8 +285,8 @@ def run(args) -> int:
             f, _scale = remap_domain(f_raw, *domains[0])
         grid = _build_grid(problem, dim, domains, args.n, seed)
         w = _weights(problem, grid)
-        if args.eps <= 0:
-            raise InputError("--eps must be positive")
+        if not 0.0 < args.eps < math.inf:
+            raise InputError("--eps must be positive and finite")
         cfg = EstimatorConfig(eps=args.eps, seed=seed, noise_mode=args.noise)
         direction = "increasing" if args.direction == "inc" else "decreasing"
 

@@ -1,8 +1,8 @@
 """Measurement layer: largest-eigenvalue estimation, amplitude estimation,
 and the two-state overlap gadget.
 
-Quantum phase-estimation internals are replaced by classical power
-iteration plus configurable seeded noise; the stated accuracy and cost
+Quantum phase-estimation internals are replaced by an exact classical
+eigensolve plus configurable seeded noise; the stated accuracy and cost
 contracts are kept in the ledger.
 """
 
@@ -101,41 +101,26 @@ def power_iteration(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 200_000
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _top_two(e: BlockEnc) -> tuple[float, float]:
-    if e.is_diagonal:
-        d = np.sort(np.real(e.data))
-        top = float(d[-1])
-        second = float(d[-2]) if d.size > 1 else float("-inf")
-        return top, second
-    w = np.linalg.eigvalsh(e.op)
-    return float(w[-1]), (float(w[-2]) if w.size > 1 else float("-inf"))
-
-
 def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> EigenvalueEstimate:
     """Estimate the largest eigenvalue of a PSD Hermitian encoding to
     additive accuracy eps.
 
-    The exact value comes from power iteration on the stored operator (the
-    diagonal fast path reads it off directly); noise is then applied per the
-    config.  The gap flag marks spectra whose two largest eigenvalues are
-    closer than the O(1)-gap assumption tolerates; it is advisory and does
-    not degrade the classical estimate.
+    The exact value comes from the stored operator's spectrum (sorted
+    directly on the diagonal fast path, one dense eigensolve otherwise);
+    noise is then applied per the config.  The gap flag marks spectra whose
+    two largest eigenvalues are closer than the O(1)-gap assumption
+    tolerates; it is advisory and does not degrade the classical estimate.
     """
     if not e.is_hermitian():
         raise ValueError("largest_eigenvalue requires a Hermitian operator")
-    if e.is_diagonal:
-        lam_min = float(np.min(np.real(e.data)))
-    else:
-        lam_min = float(np.linalg.eigvalsh(e.op)[0])
+    spectrum = np.sort(np.real(e.data)) if e.is_diagonal else np.linalg.eigvalsh(e.op)
+    lam_min = float(spectrum[0])
     if lam_min < -(_PSD_TOL + e.eps):
         raise ValueError(f"operator is not positive semidefinite (lambda_min = {lam_min:.6g})")
-    if e.is_diagonal:
-        exact = float(np.max(np.real(e.data)))
-    else:
-        exact = power_iteration(e.op)
-    top, second = _top_two(e)
+    top = float(spectrum[-1])
+    second = float(spectrum[-2]) if spectrum.size > 1 else float("-inf")
     gap_flag = (top - second) < GAP_THRESHOLD
-    estimate = exact + cfg.draw(salt)
+    estimate = top + cfg.draw(salt)
     n_qubits = int(round(math.log2(e.dim)))
     query_factor = math.ceil((1.0 / cfg.eps) * (n_qubits + math.log2(1.0 / cfg.eps)))
     ledger = e.ledger.adding(

@@ -247,6 +247,16 @@ class Bounds:
         return cls(f_sup=f_sup, d1_sup=0.0, d2_sup=0.0, grad_sup=float(grad))
 
 
+def _finite_coefficient(v) -> float:
+    try:
+        c = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"coefficient {v!r} is not a finite number") from exc
+    if not math.isfinite(c):
+        raise ValueError(f"coefficient {v!r} is not a finite number")
+    return c
+
+
 def poly_from_json(obj) -> Poly | MultiPoly:
     """Parse the polynomial JSON schema.
 
@@ -260,7 +270,7 @@ def poly_from_json(obj) -> Poly | MultiPoly:
         coeffs = obj.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise ValueError("'uni' polynomial requires a nonempty 'coeffs' list")
-        return Poly(coeffs)
+        return Poly([_finite_coefficient(c) for c in coeffs])
     if kind == "multi":
         dim = obj.get("dim")
         terms = obj.get("terms")
@@ -270,9 +280,9 @@ def poly_from_json(obj) -> Poly | MultiPoly:
             raise ValueError("'multi' polynomial requires a nonempty 'terms' list")
         parsed = []
         for t in terms:
-            if "a" not in t or "k" not in t:
-                raise ValueError("each term needs 'a' and 'k' fields")
-            parsed.append((t["a"], tuple(t["k"])))
+            if not (isinstance(t, dict) and "a" in t and isinstance(t.get("k"), list)):
+                raise ValueError("each term must be an object with 'a' and a 'k' list")
+            parsed.append((_finite_coefficient(t["a"]), tuple(t["k"])))
         return MultiPoly(tuple(parsed), dim)
     raise ValueError(f"unknown polynomial kind {kind!r}")
 

@@ -268,23 +268,6 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
 # first-derivative test
 
 
-def _hadamard_layer(n: int) -> BlockEnc:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]])
-    m = np.array([[1.0]])
-    while m.shape[0] < n:
-        m = np.kron(m, h)
-    return BlockEnc(m / math.sqrt(n), alpha=1.0, ancillas=0, eps=0.0,
-                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
-
-
-def _shift_difference_circulant(n: int) -> BlockEnc:
-    l = -np.eye(n)
-    l += np.eye(n, k=1)
-    l[-1, 0] = 1.0
-    return BlockEnc(l, alpha=2.0, ancillas=1, eps=0.0,
-                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
-
-
 def _masked_indices(grid: Grid) -> list[int]:
     # wrap-around difference plus any padded duplicates
     return list(range(grid.n_original - 1, grid.n))
@@ -313,6 +296,12 @@ def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
     derivative values into the first column; the shift-difference circulant
     turns them into consecutive differences; diagonalizing that column and
     amplifying away the circulant's subnormalization yields the encoding.
+
+    Only that first column is ever read, so it is computed in O(n): the
+    Hadamard layer's first column is the constant 1/sqrt(n), and the
+    circulant maps v to roll(v, -1) - v.  The ledger and contract still
+    charge both layers (each exact, of depth log2(n); alpha 1 for the
+    Hadamard layer, alpha 2 and one ancilla for the circulant).
     """
     if grid.dim != 1:
         raise ValueError("the first-derivative construction is univariate")
@@ -322,8 +311,12 @@ def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
     n = grid.n
     grid_enc = encode_grid_values(grid.x)
     m1 = transform(grid_enc, f.derivative().scaled(bounds.d1_sup))
-    column = be.product(_shift_difference_circulant(n), be.product(m1, _hadamard_layer(n)))
-    diag = be.diag_from_column(column)  # entries diff_i / (2 sqrt(n) P)
+    layer = ResourceLedger.of(depth_units=int(round(math.log2(n))))
+    hadamard = be.Contract(alpha=1.0, ancillas=0, eps=0.0, ledger=layer)
+    circulant = be.Contract(alpha=2.0, ancillas=1, eps=0.0, ledger=layer)
+    v = m1.data * (1.0 / math.sqrt(n))
+    contract = be.product_contract(circulant, be.product_contract(m1, hadamard))
+    diag = be.diag_from_column(np.roll(v, -1) - v, contract)  # entries diff_i / (2 sqrt(n) P)
     unmasked = be.amplify(diag, 2.0)
     return be.product(_mask_complement(grid), unmasked)
 

@@ -75,8 +75,57 @@ def test_malformed_json_is_exit_1(tmp_path):
     assert main(["test", "--input", str(path)]) == 1
 
 
-def test_bad_schema_is_exit_1(tmp_path):
+def test_bad_schema_is_exit_1(tmp_path, capsys):
     assert main(["test", "--input", write(tmp_path, {"schema": 2})]) == 1
+    bad_shapes = [
+        dict(CUBIC, poly={"kind": "multi", "dim": 2, "terms": [1]}),
+        dict(CUBIC, grid=[]),
+    ]
+    for prob in bad_shapes:
+        capsys.readouterr()
+        assert main(["test", "--input", write(tmp_path, prob)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+NONFINITE_FIELDS = {
+    "coeffs": ("poly", "coeffs", 2),
+    "term": ("poly", "terms", 0, "a"),
+    "domain": ("domain", 0, 1),
+    "points": ("grid", "points", 1),
+    "weights": ("weights", 3),
+}
+
+
+@pytest.mark.parametrize("method", ["first-deriv", "all"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(NONFINITE_FIELDS))
+def test_non_finite_input_is_exit_1(tmp_path, capsys, field, bad, method):
+    prob = {
+        "schema": 1,
+        "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
+        "domain": [[-1.0, 1.0]],
+        "grid": {"kind": "explicit", "points": [-0.5, 0.0, 0.25, 0.5]},
+        "weights": [0.25, 0.25, 0.25, 0.25],
+    }
+    if field == "term":
+        prob["poly"] = {"kind": "multi", "dim": 1, "terms": [{"a": 1.0, "k": [2]}]}
+    *keys, last = NONFINITE_FIELDS[field]
+    target = prob
+    for k in keys:
+        target = target[k]
+    target[last] = bad
+    code, rep = run_cli(tmp_path, prob, "--method", method)
+    assert code == 1 and rep is None
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_eps_is_exit_1(tmp_path, capsys, eps):
+    code, rep = run_cli(tmp_path, CUBIC, "--method", "first-deriv", "--eps", eps)
+    assert code == 1 and rep is None
+    assert "--eps" in capsys.readouterr().err
 
 
 def test_inconclusive_is_exit_2(tmp_path):
@@ -127,6 +176,13 @@ def test_multivariate_jensen_only(tmp_path):
     code, rep = run_cli(tmp_path, prob, "--method", "jensen", "--eps", "0.001")
     assert code == 0
     assert rep["outcome"] == "ConvexOnGrid"
+    assert rep["agreement"] is True
+    # the concave -(x^2 + y^2): the oracle's violation witness must serialize
+    concave = dict(prob, poly={"kind": "multi", "dim": 2,
+                               "terms": [{"a": -1.0, "k": [2, 0]}, {"a": -1.0, "k": [0, 2]}]})
+    code, rep = run_cli(tmp_path, concave, "--method", "jensen", "--eps", "0.001")
+    assert code == 0
+    assert rep["outcome"] == "NotConvex"
     assert rep["agreement"] is True
 
 

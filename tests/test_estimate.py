@@ -54,6 +54,19 @@ def test_largest_eigenvalue_exact_diagonal():
     assert not est.gap_flag
 
 
+def test_largest_eigenvalue_dense_matches_eigvalsh():
+    rng = np.random.default_rng(4)
+    cfg = EstimatorConfig(eps=0.01)
+    for _ in range(5):
+        a = rng.normal(size=(8, 8))
+        m = a @ a.T
+        m /= 1.01 * np.linalg.norm(m, 2)
+        w = np.linalg.eigvalsh(m)
+        est = largest_eigenvalue(BlockEnc(m, alpha=1.0, ancillas=0, eps=0.0), cfg)
+        assert est.value == pytest.approx(w[-1], abs=1e-12)
+        assert est.gap_flag == bool(w[-1] - w[-2] < 0.01)
+
+
 def test_largest_eigenvalue_gap_flag():
     cfg = EstimatorConfig(eps=0.01)
     est = largest_eigenvalue(diag_enc([0.5, 0.4999, 0.1, 0.0]), cfg)

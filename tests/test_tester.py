@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qshape.blockenc as be
+from qshape.blockenc import BlockEnc, ResourceLedger
 from qshape.estimate import EstimatorConfig
 from qshape.oracle import oracle_convex, oracle_monotone
-from qshape.poly import MultiPoly, Poly, remap_domain
+from qshape.poly import Bounds, MultiPoly, Poly, remap_domain
+from qshape.qsvt import transform
 from qshape.tester import (
     Grid,
     Outcome,
@@ -19,6 +22,7 @@ from qshape.tester import (
     test_convex_jensen,
     test_convex_second_derivative,
     test_monotone,
+    _mask_complement,
 )
 
 CFG = EstimatorConfig(eps=0.01, seed=0, noise_mode="exact")
@@ -122,6 +126,58 @@ def test_build_M3_entries():
     expected = np.full(4, 0.4 / (math.sqrt(4) * p))
     expected[-1] = 0.0  # wrap-around masked
     np.testing.assert_allclose(e.diagonal, expected, atol=1e-10)
+
+
+# Dense reference for build_M3: the Hadamard layer and the shift-difference
+# circulant stored as n x n matrices, multiplied densely, with BlockEnc's
+# norm checks (an SVD where the cheap bound fails) run on every factor.
+
+
+def _hadamard_layer(n: int) -> BlockEnc:
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    m = np.array([[1.0]])
+    while m.shape[0] < n:
+        m = np.kron(m, h)
+    return BlockEnc(m / math.sqrt(n), alpha=1.0, ancillas=0, eps=0.0,
+                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
+
+
+def _shift_difference_circulant(n: int) -> BlockEnc:
+    l = -np.eye(n)
+    l += np.eye(n, k=1)
+    l[-1, 0] = 1.0
+    return BlockEnc(l, alpha=2.0, ancillas=1, eps=0.0,
+                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
+
+
+def _dense_build_M3(f: Poly, grid: Grid) -> BlockEnc:
+    bounds = Bounds.from_poly(f)
+    n = grid.n
+    m1 = transform(encode_grid_values(grid.x), f.derivative().scaled(bounds.d1_sup))
+    column = be.product(_shift_difference_circulant(n), be.product(m1, _hadamard_layer(n)))
+    diag = be.diag_from_column(column.op[:, 0], column)
+    return be.product(_mask_complement(grid), be.amplify(diag, 2.0))
+
+
+def _m3_cases():
+    rng = np.random.default_rng(2503)
+    for k in range(1, 11):
+        n = 2**k
+        yield f"uniform-{n}", Poly(rng.uniform(-1, 1, size=int(rng.integers(3, 9)))), Grid.uniform(n)
+        m = n // 2 + 1 if n > 2 else n  # pads up to n
+        pts = np.sort(rng.choice(np.linspace(-0.5, 0.5, 4 * n + 1), size=m, replace=False))
+        yield (f"padded-{m}-of-{n}", Poly(rng.uniform(-1, 1, size=int(rng.integers(3, 9)))),
+               Grid.from_points(pts, pad_to_pow2=True))
+    # constant derivative, and f' = 0 exactly at a grid point
+    yield "linear", Poly([0.3, -0.7]), Grid.uniform(16)
+    yield "zero-at-point", Poly([0.0, 0.0, 1.0]), Grid.from_points([-0.25, 0.0, 0.25, 0.5])
+
+
+@pytest.mark.parametrize("f, grid", [c[1:] for c in _m3_cases()], ids=[c[0] for c in _m3_cases()])
+def test_build_M3_matches_dense_reference(f, grid):
+    got, ref = build_M3(f, grid), _dense_build_M3(f, grid)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert (got.alpha, got.ancillas, got.eps, got.ledger) == (ref.alpha, ref.ancillas, ref.eps, ref.ledger)
 
 
 def test_build_M3_linear_is_zero():
