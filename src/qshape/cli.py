@@ -199,17 +199,31 @@ def _jsonable(v):
     return v
 
 
+def _center_to_user(center, domains):
+    """A Jensen centre in user coordinates: a list with one entry per axis,
+    or a bare number when the centre is one."""
+    if np.ndim(center) == 0:
+        return _to_user(float(center), domains)
+    return [_to_user(float(v), [domains[j]]) for j, v in enumerate(center)]
+
+
 def _map_witness(witness, domains):
     if witness is None:
         return None
     if isinstance(witness, dict):
         out = dict(witness)
         if "center" in out:
-            out["center"] = [
-                _to_user(float(v), [domains[j]]) for j, v in enumerate(out["center"])
-            ]
+            out["center"] = _center_to_user(out["center"], domains)
         return _jsonable(out)
     return _jsonable(_to_user(witness, domains))
+
+
+def _map_oracle_witness(method: str, witness, domains):
+    if method != "jensen" or witness is None:
+        return _map_witness(witness, domains)
+    # (center, lhs, rhs): only the centre is a point; lhs and rhs are values
+    center, lhs, rhs = witness
+    return _jsonable([_center_to_user(center, domains), lhs, rhs])
 
 
 def _oracle_for(method: str, f, grid: Grid, w: WeightVector, direction: str):
@@ -256,7 +270,7 @@ def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfi
         res = _oracle_for(method, f, grid, w, direction)
         report["oracle"] = {
             "verdict": res.verdict,
-            "witness": _map_witness(res.witness, domains) if method != "jensen" else _jsonable(res.witness),
+            "witness": _map_oracle_witness(method, res.witness, domains),
             "details": _jsonable(res.details),
         }
         if verdict.outcome != Outcome.INCONCLUSIVE:
@@ -277,9 +291,10 @@ def run(args) -> int:
         seed = _resolve_seed(args.seed)
         problem = _load_problem(args.input)
         f_raw = _parse_poly(problem.get("poly"))
-        dim = f_raw.dim if isinstance(f_raw, MultiPoly) else 1
+        multi = isinstance(f_raw, MultiPoly)
+        dim = f_raw.dim if multi else 1
         domains = _domains(problem, dim)
-        if isinstance(f_raw, MultiPoly):
+        if multi:
             f = f_raw.remap(domains)
         else:
             f, _scale = remap_domain(f_raw, *domains[0])
@@ -291,10 +306,10 @@ def run(args) -> int:
         direction = "increasing" if args.direction == "inc" else "decreasing"
 
         if args.method == "all":
-            methods = ["jensen"] if dim > 1 else ["second-deriv", "first-deriv", "jensen", "monotone"]
+            methods = ["jensen"] if multi else ["second-deriv", "first-deriv", "jensen", "monotone"]
         else:
             methods = [args.method]
-        if dim > 1 and any(m != "jensen" for m in methods):
+        if multi and any(m != "jensen" for m in methods):
             raise InputError("only the jensen method supports multivariate polynomials")
 
         results = [

@@ -30,7 +30,6 @@ __all__ = [
     "largest_eigenvalue",
     "overlap_gadget",
     "amplitude_estimate",
-    "power_iteration",
 ]
 
 GAP_THRESHOLD = 0.01  # below this, the O(1)-gap assumption is flagged
@@ -78,27 +77,6 @@ class EigenvalueEstimate:
 class AmplitudeEstimate:
     value: float
     ledger: ResourceLedger
-
-
-def power_iteration(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 200_000) -> float:
-    """Dominant eigenvalue of a PSD Hermitian matrix by power iteration,
-    converged on the Rayleigh quotient; falls back to a dense eigensolve if
-    the iteration stalls on a near-degenerate spectrum."""
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n)) + 1e-6 * np.arange(n) / max(1, n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (mat @ v))
-    for _ in range(max_iter):
-        w = mat @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam_new = float(v @ (mat @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> EigenvalueEstimate:

@@ -8,6 +8,7 @@ falling back to the coefficient-sum bound when the slack cannot certify).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -151,21 +152,26 @@ class MultiPoly:
         return MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
 
 
+# One CLI call certifies the same few polynomials many times over (the
+# remap, each method's Bounds, every transform precondition); a small cache
+# keyed on the frozen Poly makes each distinct one cost a single sampling.
+@functools.lru_cache(maxsize=64)
 def _sup_univariate(p: Poly) -> float:
     csum = p.coefficient_sum
     if p.degree == 0:
         return abs(p.coeffs[0])
     m = max(10 * p.degree + 1, 4097)
     xs = np.linspace(-1.0, 1.0, m)
-    vmax = float(np.max(np.abs(p(xs))))
+    vals = np.abs(p(xs))
+    i = int(np.argmax(vals))
+    vmax = float(vals[i])
     # local refinement around the coarse argmax tightens the sampled maximum
-    i = int(np.argmax(np.abs(p(xs))))
     h = 2.0 / (m - 1)
     lo, hi = max(-1.0, xs[i] - h), min(1.0, xs[i] + h)
     vmax = max(vmax, float(np.max(np.abs(p(np.linspace(lo, hi, 1025))))))
     d1_csum = p.derivative().coefficient_sum
     bound = vmax + d1_csum * h / 2.0
-    return float(min(bound, csum)) if bound > csum else float(bound)
+    return float(min(bound, csum))
 
 
 def _sup_multivariate(p: MultiPoly) -> float:
@@ -211,11 +217,16 @@ def remap_domain(p: Poly, a: float, b: float) -> tuple[Poly, float]:
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     c, w = (a + b) / 2.0, float(b - a)
-    composed = p.compose_affine(c, w)
-    s = 2.0 * _sup_on_half_box(composed)
-    if s == 0.0:
-        s = 1.0
-    return composed.scaled(s), s
+    # overflow is reported below as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        composed = p.compose_affine(c, w)
+        s = 2.0 * _sup_on_half_box(composed)
+        if s == 0.0:
+            s = 1.0
+        q = composed.scaled(s)
+    if not (math.isfinite(s) and np.isfinite(q.coeffs).all()):
+        raise ValueError(f"coefficients overflow when [{a}, {b}] is remapped onto the working domain")
+    return q, s
 
 
 @dataclass(frozen=True)

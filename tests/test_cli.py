@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import qshape.poly
 from qshape.cli import main
 
 CUBIC = {
@@ -184,6 +186,77 @@ def test_multivariate_jensen_only(tmp_path):
     assert code == 0
     assert rep["outcome"] == "NotConvex"
     assert rep["agreement"] is True
+
+
+def test_multi_with_one_axis_runs_jensen_only(tmp_path, capsys):
+    prob = {
+        "schema": 1,
+        "poly": {"kind": "multi", "dim": 1, "terms": [{"a": 1.0, "k": [2]}]},
+        "domain": [[0.0, 2.0]],
+        "grid": {"kind": "uniform", "n": 8},
+    }
+    code, rep = run_cli(tmp_path, prob, "--method", "all", "--eps", "0.001")
+    assert code == 0
+    assert [r["method"] for r in rep["results"]] == ["jensen"]
+    assert rep["results"][0]["outcome"] == "ConvexOnGrid"
+    assert rep["results"][0]["agreement"] is True
+    (tmp_path / "report.json").unlink()
+    capsys.readouterr()
+    code, rep = run_cli(tmp_path, prob, "--method", "second-deriv")
+    assert code == 1 and rep is None
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: only the jensen method supports multivariate polynomials"]
+
+
+def test_coefficient_overflow_is_exit_1(tmp_path, capsys):
+    prob = dict(CUBIC, poly={"kind": "uni", "coeffs": [0, 1e308, 1e308]}, domain=[[0, 4]])
+    code, rep = run_cli(tmp_path, prob, "--method", "all")
+    assert code == 1 and rep is None
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflow" in err
+
+
+CONCAVE = {
+    "uni": {"kind": "uni", "coeffs": [0.0, 0.0, -1.0]},
+    "multi": {"kind": "multi", "dim": 2,
+              "terms": [{"a": -1.0, "k": [2, 0]}, {"a": -1.0, "k": [0, 2]}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONCAVE))
+def test_jensen_centres_agree_in_user_coordinates(tmp_path, kind):
+    dim = 2 if kind == "multi" else 1
+    prob = {
+        "schema": 1,
+        "poly": CONCAVE[kind],
+        "domain": [[0.0, 2.0]] * dim,
+        "grid": {"kind": "uniform", "n": 8},
+    }
+    code, rep = run_cli(tmp_path, prob, "--method", "jensen", "--eps", "0.001",
+                        "--seed", "3")
+    assert code == 0
+    assert rep["outcome"] == "NotConvex" and rep["agreement"] is True
+    center = rep["witness"]["center"]
+    oracle_center = rep["oracle"]["witness"][0]
+    if dim == 1:
+        oracle_center = [oracle_center]
+    assert len(center) == len(oracle_center) == dim
+    assert np.allclose(center, oracle_center, rtol=0.0, atol=1e-12)
+    assert all(0.0 < c < 2.0 for c in center)
+
+
+def test_reports_same_bytes_without_the_sup_memo(tmp_path, monkeypatch):
+    def report_bytes(name):
+        rep = tmp_path / name
+        main(["test", "--input", write(tmp_path, CUBIC), "--report", str(rep),
+              "--method", "all", "--seed", "7", "--noise", "uniform", "--eps", "0.001"])
+        return rep.read_bytes()
+
+    qshape.poly._sup_univariate.cache_clear()
+    memoized = report_bytes("memoized.json")
+    assert qshape.poly._sup_univariate.cache_info().hits > 0
+    monkeypatch.setattr(qshape.poly, "_sup_univariate", qshape.poly._sup_univariate.__wrapped__)
+    assert report_bytes("uncached.json") == memoized
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

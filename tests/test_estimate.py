@@ -10,7 +10,6 @@ from qshape.estimate import (
     amplitude_estimate,
     largest_eigenvalue,
     overlap_gadget,
-    power_iteration,
 )
 
 
@@ -37,14 +36,6 @@ def test_uniform_noise_is_seeded_and_bounded():
     assert cfg.draw(2) != d1  # different salt
     assert abs(d1) <= 0.01
     assert EstimatorConfig(eps=0.01, seed=6, noise_mode="uniform").draw(1) != d1
-
-
-def test_power_iteration_on_random_psd():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.normal(size=(16, 16))
-        m = a @ a.T / 32
-        assert power_iteration(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], abs=1e-9)
 
 
 def test_largest_eigenvalue_exact_diagonal():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qshape.poly import (
     certified_sup,
     poly_from_json,
     poly_to_json,
+    _sup_univariate,
     remap_domain,
 )
 
@@ -64,6 +66,44 @@ def test_certified_sup_exact_cases():
     assert certified_sup(Poly([0, 0, 0, 0.5])) == pytest.approx(0.5, abs=1e-6)
 
 
+def _reference_sup_univariate(p: Poly) -> float:
+    """The certified sup as first written: it samples p on the grid twice
+    (once for the max, once for the argmax) and caches nothing."""
+    csum = p.coefficient_sum
+    if p.degree == 0:
+        return abs(p.coeffs[0])
+    m = max(10 * p.degree + 1, 4097)
+    xs = np.linspace(-1.0, 1.0, m)
+    vmax = float(np.max(np.abs(p(xs))))
+    i = int(np.argmax(np.abs(p(xs))))
+    h = 2.0 / (m - 1)
+    lo, hi = max(-1.0, xs[i] - h), min(1.0, xs[i] + h)
+    vmax = max(vmax, float(np.max(np.abs(p(np.linspace(lo, hi, 1025))))))
+    d1_csum = p.derivative().coefficient_sum
+    bound = vmax + d1_csum * h / 2.0
+    return float(min(bound, csum)) if bound > csum else float(bound)
+
+
+@given(coeff_lists)
+@settings(max_examples=100, deadline=None)
+def test_certified_sup_memo_is_the_uncached_value(coeffs):
+    p = Poly(coeffs)
+    first = certified_sup(p)
+    assert first.hex() == _sup_univariate.__wrapped__(p).hex()
+    hits = _sup_univariate.cache_info().hits
+    second = certified_sup(Poly(coeffs))  # an equal, separately built Poly
+    assert _sup_univariate.cache_info().hits == hits + 1
+    assert second.hex() == first.hex()
+
+
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                min_size=1, max_size=31))
+@settings(max_examples=150, deadline=None)
+def test_certified_sup_matches_reference(coeffs):
+    p = Poly(coeffs)  # degree <= 30
+    assert certified_sup(p).hex() == _reference_sup_univariate(p).hex()
+
+
 def test_remap_identity_interval():
     p = Poly([0.0, 1.0])  # x on [-1/2, 1/2]
     q, s = remap_domain(p, -0.5, 0.5)
@@ -87,6 +127,13 @@ def test_remap_preserves_shape():
 def test_remap_rejects_degenerate_interval():
     with pytest.raises(ValueError):
         remap_domain(Poly([0, 1]), 1.0, 1.0)
+
+
+def test_remap_overflow_is_one_error_and_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            remap_domain(Poly([0.0, 1e308, 1e308]), 0.0, 4.0)
 
 
 def test_bounds_majorize_on_working_domain():
