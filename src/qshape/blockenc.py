@@ -28,9 +28,6 @@ __all__ = [
     "scale_down",
     "amplify",
     "amplification_uses",
-    "tensor",
-    "projector",
-    "projector_complement",
     "density_encode",
     "identity",
     "normalize_subnormalization",
@@ -170,9 +167,6 @@ class BlockEnc:
             return bool(np.max(np.abs(np.imag(self.data))) <= tol) if np.iscomplexobj(self.data) else True
         return bool(np.allclose(self.data, np.conj(self.data.T), atol=tol))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.data * v if self.is_diagonal else self.data @ v
-
     def apply_to_state(self, v: np.ndarray) -> np.ndarray:
         """Action of the encoding unitary on |0>|v>: returns the 2N vector
         [ (A/alpha) v ; sqrt(I - (A/alpha)^2) v ] for Hermitian A.
@@ -226,20 +220,6 @@ class StatePrep:
     @property
     def dim(self) -> int:
         return self.state.shape[0]
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """A unitary whose first column is the prepared state (built lazily;
-        only needed for small-dimension checks)."""
-        n = self.dim
-        m = np.eye(n)
-        m[:, 0] = self.state
-        q, r = np.linalg.qr(m)
-        return q * np.sign(r[0, 0])
-
-    def encoding(self) -> BlockEnc:
-        """The preparation unitary viewed as a block encoding of itself."""
-        return BlockEnc(self.unitary, alpha=1.0, ancillas=0, eps=0.0, ledger=self.ledger)
 
 
 def encode_state(amplitudes) -> StatePrep:
@@ -375,44 +355,6 @@ def amplify(e: BlockEnc, gamma: float, delta: float = 0.25, eps_amp: float = 1e-
     eps_out = gamma * e.eps + gamma * norm_a * eps_amp
     ledger = e.ledger.adding(depth_units=m, **{"amplification-uses": m})
     return BlockEnc(gamma * e.data, alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
-
-
-def tensor(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
-    """Block encoding of A1 (x) A2 via parallel single uses plus O(1) swaps."""
-    if e1.is_diagonal and e2.is_diagonal:
-        data = np.kron(e1.data, e2.data)
-    else:
-        data = np.kron(e1.op, e2.op)
-    ledger = e1.ledger.merged(e2.ledger).adding(depth_units=1, **{"swap-groups": 1})
-    return BlockEnc(
-        data,
-        alpha=e1.alpha * e2.alpha,
-        ancillas=e1.ancillas + e2.ancillas,
-        eps=e1.alpha * e2.eps + e2.alpha * e1.eps,
-        ledger=ledger,
-    )
-
-
-def projector(j: int, n: int) -> BlockEnc:
-    """Exact block encoding of |j-1><j-1| (1-indexed j)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    d = np.zeros(n)
-    d[j - 1] = 1.0
-    return BlockEnc(d, alpha=1.0, ancillas=_qubits(n), eps=0.0,
-                    ledger=ResourceLedger.of(depth_units=_qubits(n), **{"projector-preparations": 1}))
-
-
-def projector_complement(j: int, n: int) -> BlockEnc:
-    """Block encoding of I - |j-1><j-1| as (I + R)/2 with R the diagonal
-    reflection about index j-1; exact at alpha = 1."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    r = np.ones(n)
-    r[j - 1] = -1.0
-    reflection = BlockEnc(r, alpha=1.0, ancillas=0, eps=0.0,
-                          ledger=ResourceLedger.of(depth_units=_qubits(n)))
-    return lcu([identity(n), reflection], [1, 1])
 
 
 def density_encode(prep: StatePrep, keep_dim: int) -> BlockEnc:

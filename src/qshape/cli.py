@@ -335,8 +335,12 @@ def run(args) -> int:
     return 0
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return run(args)
 
 

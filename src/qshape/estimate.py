@@ -54,9 +54,6 @@ class EstimatorConfig:
         if self.noise_mode not in ("exact", "uniform"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
 
-    def with_eps(self, eps: float) -> "EstimatorConfig":
-        return EstimatorConfig(eps=eps, seed=self.seed, noise_mode=self.noise_mode)
-
     def draw(self, salt: int, eps: float | None = None) -> float:
         """Seeded noise draw for one estimator call; zero in exact mode."""
         if self.noise_mode == "exact":

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "Poly",
@@ -49,8 +48,18 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    # The kernels below repeat numpy.polynomial's polyval, polyder and
+    # polymul/polyadd operation for operation, so results (signed zeros
+    # included) are the same bits without that module's per-call wrappers.
+
     def __call__(self, x):
-        return npoly.polyval(np.asarray(x, dtype=float), np.array(self.coeffs))
+        """Horner's rule, elementwise over x."""
+        x = np.asarray(x, dtype=float)
+        c = self.coeffs
+        out = c[-1] + x * 0
+        for a in c[-2::-1]:
+            out = a + out * x
+        return out
 
     def derivative(self, order: int = 1) -> "Poly":
         """Exact coefficient-level derivative of the given order."""
@@ -58,17 +67,20 @@ class Poly:
             raise ValueError("derivative order must be nonnegative")
         c = np.array(self.coeffs)
         for _ in range(order):
-            c = npoly.polyder(c)
-            if c.size == 0:
-                c = np.zeros(1)
+            # a constant differentiates to c*0, which keeps the sign of c
+            c = c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0.0
         return Poly(c)
 
     def compose_affine(self, c: float, w: float) -> "Poly":
-        """Coefficients of p(c + w*t) as a polynomial in t."""
+        """Coefficients of p(c + w*t) as a polynomial in t, by Horner's rule
+        on coefficient arrays."""
         inner = np.array([c, w], dtype=float)
         out = np.zeros(1)
-        for k in range(self.degree, -1, -1):
-            out = npoly.polyadd(npoly.polymul(out, inner), [self.coeffs[k]])
+        for a in self.coeffs[::-1]:
+            out = np.convolve(out, inner)
+            while out.size > 1 and out[-1] == 0.0:
+                out = out[:-1]
+            out[0] += a
         return Poly(out)
 
     def scaled(self, s: float) -> "Poly":
@@ -133,6 +145,7 @@ class MultiPoly:
         domains = [tuple(map(float, ab)) for ab in domains]
         if len(domains) != self.dim:
             raise ValueError("one (a, b) interval required per axis")
+        overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
         new_terms: dict[tuple[int, ...], float] = {}
         for a_k, k in self.terms:
             # expand prod_j (c_j + w_j t_j)^{k_j} via per-axis binomials
@@ -142,14 +155,24 @@ class MultiPoly:
                 if lo >= hi:
                     raise ValueError(f"degenerate interval on axis {j}")
                 c, w = (lo + hi) / 2.0, hi - lo
-                axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
+                try:
+                    axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
+                except OverflowError:
+                    raise ValueError(overflow) from None
             for combo in iter_product(*(range(len(p)) for p in axis_polys)):
                 coeff = a_k
                 for j, i in enumerate(combo):
                     coeff *= axis_polys[j][i]
                 key = tuple(combo)
                 new_terms[key] = new_terms.get(key, 0.0) + coeff
+        if not all(map(math.isfinite, new_terms.values())):
+            raise ValueError(overflow)
         return MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
+
+
+# The sample grid of every polynomial of degree <= 409.
+_SAMPLE = np.linspace(-1.0, 1.0, 4097)
+_SAMPLE.setflags(write=False)
 
 
 # One CLI call certifies the same few polynomials many times over (the
@@ -160,8 +183,8 @@ def _sup_univariate(p: Poly) -> float:
     csum = p.coefficient_sum
     if p.degree == 0:
         return abs(p.coeffs[0])
-    m = max(10 * p.degree + 1, 4097)
-    xs = np.linspace(-1.0, 1.0, m)
+    m = max(10 * p.degree + 1, _SAMPLE.size)
+    xs = _SAMPLE if m == _SAMPLE.size else np.linspace(-1.0, 1.0, m)
     vals = np.abs(p(xs))
     i = int(np.argmax(vals))
     vmax = float(vals[i])

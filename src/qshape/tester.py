@@ -11,7 +11,7 @@ threshold come back Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -337,7 +337,7 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     comp = _mask_complement(grid)
     shifted = be.product(comp, be.product(shifted, comp))
     eps_prime = cfg.eps / (2.0 * sqrt_n)
-    est = largest_eigenvalue(shifted, cfg.with_eps(eps_prime), salt=_SALT_FIRST)
+    est = largest_eigenvalue(shifted, replace(cfg, eps=eps_prime), salt=_SALT_FIRST)
     threshold = 1.0 / (2.0 * sqrt_n)
     band = 2.0 * eps_prime
     outcome = _threshold_outcome(est.value, threshold, band, Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)

@@ -62,16 +62,6 @@ def test_identity_is_exact():
 # -- state preparation -----------------------------------------------------
 
 
-@given(unit_vectors)
-@settings(max_examples=60, deadline=None)
-def test_state_prep_unitary_first_column(v):
-    v = np.asarray(v) / np.linalg.norm(v)
-    prep = be.encode_state(v)
-    u = prep.unitary
-    np.testing.assert_allclose(u @ u.T, np.eye(len(v)), atol=1e-10)
-    np.testing.assert_allclose(u[:, 0], v, atol=1e-10)
-
-
 def test_encode_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         be.encode_state([1.0, 1.0])
@@ -145,23 +135,6 @@ def test_amplify_boosts_and_counts_uses():
 def test_amplify_precondition():
     with pytest.raises(ValueError):
         be.amplify(diag_enc([0.6, 0.0]), 2.0)  # 0.6 > (1-0.25)/2
-
-
-def test_tensor():
-    e1 = diag_enc([0.5, -0.5], alpha=2.0)
-    e2 = diag_enc([1.0, 0.0])
-    t = be.tensor(e1, e2)
-    assert t.alpha == 2.0
-    np.testing.assert_allclose(t.op, np.kron(e1.op, e2.op))
-
-
-def test_projector_and_complement():
-    p = be.projector(2, 4)
-    np.testing.assert_array_equal(p.diagonal, [0, 1, 0, 0])
-    c = be.projector_complement(2, 4)
-    # encoded at alpha 1 via (I + R)/2, exactly I - |1><1|
-    np.testing.assert_allclose(c.diagonal, [1, 0, 1, 1])
-    assert c.alpha == 1.0
 
 
 def test_apply_to_state_dilation():

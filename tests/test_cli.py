@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from test_poly import _reference_call, _reference_compose_affine, _reference_derivative
 
 import qshape.poly
-from qshape.cli import main
+from qshape.cli import build_parser, main, run
 
 CUBIC = {
     "schema": 1,
@@ -216,6 +221,30 @@ def test_coefficient_overflow_is_exit_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflow" in err
 
 
+MULTI_OVERFLOW = {
+    # finite coefficients whose remapped values overflow to inf
+    "product": ({"kind": "multi", "dim": 2,
+                 "terms": [{"a": 1e308, "k": [2, 0]}, {"a": 1e308, "k": [0, 1]}]},
+                [[0, 4], [0, 4]]),
+    # a centre whose cube overflows a Python float power
+    "power": ({"kind": "multi", "dim": 2, "terms": [{"a": 1.0, "k": [3, 0]}]},
+              [[1e200, 2e200], [0, 4]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_OVERFLOW))
+def test_multivariate_coefficient_overflow_is_exit_1(tmp_path, capsys, case):
+    poly, domain = MULTI_OVERFLOW[case]
+    prob = {"schema": 1, "poly": poly, "domain": domain, "grid": {"kind": "uniform", "n": 8}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_cli(tmp_path, prob, "--method", "all")
+    assert code == 1 and rep is None
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: coefficients overflow when ")
+
+
 CONCAVE = {
     "uni": {"kind": "uni", "coeffs": [0.0, 0.0, -1.0]},
     "multi": {"kind": "multi", "dim": 2,
@@ -257,6 +286,75 @@ def test_reports_same_bytes_without_the_sup_memo(tmp_path, monkeypatch):
     assert qshape.poly._sup_univariate.cache_info().hits > 0
     monkeypatch.setattr(qshape.poly, "_sup_univariate", qshape.poly._sup_univariate.__wrapped__)
     assert report_bytes("uncached.json") == memoized
+
+
+def _problem(coeffs):
+    return dict(CUBIC, poly={"kind": "uni", "coeffs": coeffs})
+
+
+REFERENCE_RUNS = [
+    (CUBIC, "all"),
+    (_problem([0.5, -2.0]), "all"),  # f'' of a falling line is -0.0
+    *((_problem([z]), m) for z in (0.0, -0.0) for m in ("second-deriv", "jensen")),
+]
+
+
+def test_reports_same_bytes_with_numpy_polynomial_kernels(tmp_path, monkeypatch):
+    def reports():
+        out = []
+        for i, (prob, method) in enumerate(REFERENCE_RUNS):
+            qshape.poly._sup_univariate.cache_clear()
+            rep = tmp_path / f"report-{i}.json"
+            code = main(["test", "--input", write(tmp_path, prob), "--report", str(rep),
+                         "--method", method, "--seed", "7", "--noise", "uniform", "--eps", "0.001"])
+            out.append((code, rep.read_bytes()))
+        return out
+
+    kernels = reports()
+    assert b'"min_second_derivative": -0.0' in kernels[1][1]
+    monkeypatch.setattr(qshape.poly.Poly, "__call__", _reference_call)
+    monkeypatch.setattr(qshape.poly.Poly, "derivative", _reference_derivative)
+    monkeypatch.setattr(qshape.poly.Poly, "compose_affine", _reference_compose_affine)
+    assert reports() == kernels
+    qshape.poly._sup_univariate.cache_clear()
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    inp = write(tmp_path, CUBIC)
+    calls = [
+        ["--method", "second-deriv", "--n", "8"],
+        ["--method", "second-deriv"],  # --n omitted: the grid's own n again
+        ["--method", "monotone", "--direction", "dec"],
+        ["--method", "bogus"],
+        ["--method", "monotone"],
+    ]
+
+    def outputs(parse):
+        out = []
+        for i, extra in enumerate(calls):
+            rep = tmp_path / f"report-{i}.json"
+            argv = ["test", "--input", inp, "--report", str(rep), "--seed", "7", *extra]
+            try:
+                code = parse(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out.append((code, capsys.readouterr().err,
+                        rep.read_bytes() if rep.exists() else None))
+            rep.unlink(missing_ok=True)
+        return out
+
+    shared = outputs(main)
+    assert shared[3][0] == ("exit", 2) and shared[3][2] is None
+    assert shared[0][2] != shared[1][2]  # 8 points, then CUBIC's 16
+    assert shared == outputs(lambda argv: run(build_parser().parse_args(argv)))
+
+
+def test_import_does_not_load_numpy_polynomial():
+    src = os.path.dirname(os.path.dirname(qshape.poly.__file__))
+    check = "import sys, qshape.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from qshape.poly import (
     Bounds,
@@ -102,6 +103,68 @@ def test_certified_sup_memo_is_the_uncached_value(coeffs):
 def test_certified_sup_matches_reference(coeffs):
     p = Poly(coeffs)  # degree <= 30
     assert certified_sup(p).hex() == _reference_sup_univariate(p).hex()
+
+
+# numpy.polynomial versions of the Poly kernels, as the kernels were first
+# written; the kernels must give the same bits.
+def _reference_call(p: Poly, x):
+    return npoly.polyval(np.asarray(x, dtype=float), np.array(p.coeffs))
+
+
+def _reference_derivative(p: Poly, order: int = 1) -> Poly:
+    c = np.array(p.coeffs)
+    for _ in range(order):
+        c = npoly.polyder(c)
+        if c.size == 0:
+            c = np.zeros(1)
+    return Poly(c)
+
+
+def _reference_compose_affine(p: Poly, c: float, w: float) -> Poly:
+    inner = np.array([c, w], dtype=float)
+    out = np.zeros(1)
+    for k in range(p.degree, -1, -1):
+        out = npoly.polyadd(npoly.polymul(out, inner), [p.coeffs[k]])
+    return Poly(out)
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v.coeffs if isinstance(v, Poly) else v, dtype=float).tobytes()
+
+
+exact_coeffs = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]),
+              st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+    min_size=1, max_size=31,
+)  # degree <= 30, with signed zeros anywhere, the zero polynomial included
+
+
+@given(exact_coeffs,
+       st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+       st.floats(min_value=1e-3, max_value=1e3),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=9))
+@settings(max_examples=400, deadline=None)
+def test_kernels_match_numpy_polynomial_bit_for_bit(coeffs, c, w, xs):
+    p = Poly(coeffs)
+    for order in (1, 2, 3):
+        assert _bits(p.derivative(order)) == _bits(_reference_derivative(p, order))
+    for centre in (c, 0.0, -0.0):
+        assert _bits(p.compose_affine(centre, w)) == _bits(_reference_compose_affine(p, centre, w))
+    x = np.array(xs)
+    assert _bits(p(x)) == _bits(_reference_call(p, x))
+    for x0 in (np.float64(xs[0]), xs[0], np.array(xs[0])):
+        got, want = p(x0), _reference_call(p, x0)
+        assert type(got) is type(want) and np.shape(got) == ()
+        assert _bits(got) == _bits(want)
+
+
+def test_signed_zero_cases():
+    line = Poly([1.0, -2.0])
+    assert _bits(line.derivative(2)) == _bits(Poly([-0.0]))
+    for z in (0.0, -0.0):
+        zero = Poly([z])
+        assert _bits(zero.compose_affine(-3.0, 2.0)) == _bits(_reference_compose_affine(zero, -3.0, 2.0))
+        assert _bits(zero.derivative()) == _bits(_reference_derivative(zero, 1))
 
 
 def test_remap_identity_interval():
