@@ -17,7 +17,7 @@ grid = Grid.from_points([-0.4, -0.2, 0.0, 0.2])
 
 print("== the masked difference encoding for f = x^2 ==")
 e = build_M3(Poly([0, 0, 1.0]), grid)
-print("diagonal entries:", np.round(np.real(e.diagonal), 6))
+print("diagonal entries:", np.round(e.data, 6))
 print("last entry is the masked wrap-around term\n")
 
 print("== f = x^2 / 4 on a uniform grid ==")

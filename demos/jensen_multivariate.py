@@ -26,7 +26,7 @@ pts = np.array([[0.4, 0.2], [-0.3, 0.1]])
 encs = [encode_grid_values(pts[:, j]) for j in range(2)]
 e, correction = build_multivariate_M(f, encs)
 print(f"correction K*C = {correction}")
-print("entries * correction:", np.round(np.real(e.diagonal) * correction, 6))
+print("entries * correction:", np.round(e.data * correction, 6))
 print("direct evaluation:  ", np.round(f(pts), 6), "\n")
 
 print("== convex paraboloid x^2 + y^2 ==")

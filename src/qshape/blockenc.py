@@ -1,10 +1,11 @@
 """Simulated block-encoding calculus.
 
-A :class:`BlockEnc` stores the encoded operator exactly (with a diagonal
-fast path), together with its subnormalization ``alpha``, ancilla count,
-error bound ``eps``, and a :class:`ResourceLedger` of primitive query
-counts and symbolic circuit-depth units.  Every operation returns a new
-value; nothing is mutated in place.
+Every operator the shape tests encode is diagonal: the grid, f, f', f'' and the
+overlap gadget.  A :class:`BlockEnc` therefore stores the encoded
+operator's real diagonal exactly, together with its subnormalization
+``alpha``, ancilla count, error bound ``eps``, and a :class:`ResourceLedger`
+of primitive query counts and symbolic circuit-depth units.  Every
+operation returns a new value; nothing is mutated in place.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "scale_down",
     "amplify",
     "amplification_uses",
-    "density_encode",
     "identity",
     "normalize_subnormalization",
     "embed_state",
@@ -92,10 +92,10 @@ def _qubits(n: int) -> int:
 
 @dataclass(frozen=True)
 class BlockEnc:
-    """An (alpha, a, eps) block encoding of an exactly stored operator.
+    """An (alpha, a, eps) block encoding of a diagonal operator.
 
-    ``data`` is 1-D for the diagonal fast path, 2-D otherwise.  The stored
-    operator always satisfies ||op|| <= alpha + eps.
+    ``data`` is the operator's real diagonal, and the stored operator always
+    satisfies max|data| <= alpha + eps.
     """
 
     data: np.ndarray
@@ -110,17 +110,17 @@ class BlockEnc:
             arr = arr.copy()
             arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        if arr.ndim not in (1, 2):
-            raise ValueError("operator data must be 1-D (diagonal) or 2-D")
-        if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
-            raise ValueError("encoded operator must be square")
+        if arr.ndim != 1:
+            raise ValueError("operator data must be the 1-D diagonal")
+        if np.iscomplexobj(arr):
+            raise ValueError("operator data must be real")
         if not _is_pow2(self.dim):
             raise ValueError(f"dimension {self.dim} is not a power of two")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be nonnegative and finite")
-        bound = self.norm_bound()
+        bound = float(np.max(np.abs(arr)))
         # written so that a NaN bound (from NaN data) fails it too
         if not bound <= self.alpha + self.eps + _NORM_TOL:
             if not np.isfinite(arr).all():
@@ -134,42 +134,16 @@ class BlockEnc:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.data.ndim == 1
+        """Always True: diagonal is the only representation."""
+        return True
 
     @property
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def op(self) -> np.ndarray:
-        """The encoded operator as a dense matrix."""
-        return np.diag(self.data) if self.is_diagonal else np.asarray(self.data)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        if self.is_diagonal:
-            return np.asarray(self.data)
-        return np.diagonal(self.data)
-
-    def norm_bound(self) -> float:
-        if self.is_diagonal:
-            return float(np.max(np.abs(self.data))) if self.dim else 0.0
-        m = np.asarray(self.data)
-        cheap = math.sqrt(
-            float(np.max(np.sum(np.abs(m), axis=0)) * np.max(np.sum(np.abs(m), axis=1)))
-        )
-        if cheap <= self.alpha + self.eps + _NORM_TOL or not math.isfinite(cheap):
-            return cheap  # a NaN or infinite bound needs no SVD to be rejected
-        return float(np.linalg.norm(m, 2))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        if self.is_diagonal:
-            return bool(np.max(np.abs(np.imag(self.data))) <= tol) if np.iscomplexobj(self.data) else True
-        return bool(np.allclose(self.data, np.conj(self.data.T), atol=tol))
-
     def apply_to_state(self, v: np.ndarray) -> np.ndarray:
         """Action of the encoding unitary on |0>|v>: returns the 2N vector
-        [ (A/alpha) v ; sqrt(I - (A/alpha)^2) v ] for Hermitian A.
+        [ (A/alpha) v ; sqrt(I - (A/alpha)^2) v ].
 
         This is the standard unitary dilation; the top block is the flagged
         branch of the definition's action equation.
@@ -178,15 +152,8 @@ class BlockEnc:
         if v.shape != (self.dim,):
             raise ValueError("state dimension mismatch")
         a = self.data / self.alpha
-        if self.is_diagonal:
-            top = a * v
-            rest = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v
-        else:
-            if not self.is_hermitian():
-                raise ValueError("dilation requires a Hermitian operator")
-            w, q = np.linalg.eigh(self.op / self.alpha)
-            top = q @ (w * (q.T @ v))
-            rest = q @ (np.sqrt(np.clip(1.0 - w**2, 0.0, None)) * (q.T @ v))
+        top = a * v
+        rest = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v
         return np.concatenate([top, rest])
 
     def _replace(self, **kw) -> "BlockEnc":
@@ -274,14 +241,7 @@ def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
     """Block encoding of A1 A2 under :func:`product_contract`."""
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    if e1.is_diagonal and e2.is_diagonal:
-        data = e1.data * e2.data
-    elif e1.is_diagonal:
-        data = e1.data[:, None] * e2.data
-    elif e2.is_diagonal:
-        data = e1.data * e2.data[None, :]
-    else:
-        data = e1.data @ e2.data
+    data = e1.data * e2.data
     c = product_contract(e1, e2)
     return BlockEnc(data, alpha=c.alpha, ancillas=c.ancillas, eps=c.eps, ledger=c.ledger)
 
@@ -304,10 +264,7 @@ def lcu(encodings, signs=None) -> BlockEnc:
             raise ValueError("lcu requires equal dimensions")
         if abs(e.alpha - alpha) > 1e-12 * max(1.0, alpha):
             raise ValueError("lcu requires equal alphas; rescale first")
-    if all(e.is_diagonal for e in encodings):
-        data = sum(s * e.data for s, e in zip(signs, encodings)) / m
-    else:
-        data = sum(s * e.op for s, e in zip(signs, encodings)) / m
+    data = sum(s * e.data for s, e in zip(signs, encodings)) / m
     ledger = encodings[0].ledger.merged(*(e.ledger for e in encodings[1:]))
     ledger = ledger.adding(depth_units=m, **{"lcu-combinations": 1})
     return BlockEnc(
@@ -341,10 +298,7 @@ def amplify(e: BlockEnc, gamma: float, delta: float = 0.25, eps_amp: float = 1e-
         raise ValueError("delta must lie in (0, 1/2)")
     if not 0.0 < eps_amp < 0.5:
         raise ValueError("eps_amp must lie in (0, 1/2)")
-    if e.is_diagonal:
-        smax = float(np.max(np.abs(e.data))) / e.alpha
-    else:
-        smax = float(np.linalg.norm(e.op, 2)) / e.alpha
+    smax = float(np.max(np.abs(e.data))) / e.alpha
     if smax > (1.0 - delta) / gamma + 1e-12:
         raise ValueError(
             f"amplification precondition violated: max singular value {smax:.6g} "
@@ -355,19 +309,6 @@ def amplify(e: BlockEnc, gamma: float, delta: float = 0.25, eps_amp: float = 1e-
     eps_out = gamma * e.eps + gamma * norm_a * eps_amp
     ledger = e.ledger.adding(depth_units=m, **{"amplification-uses": m})
     return BlockEnc(gamma * e.data, alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
-
-
-def density_encode(prep: StatePrep, keep_dim: int) -> BlockEnc:
-    """Exact block encoding of the reduced density matrix obtained by
-    tracing out the leading subsystem, keeping the trailing ``keep_dim``
-    dimensions.  Uses the preparation and its inverse once each."""
-    n = prep.dim
-    if n % keep_dim != 0 or not _is_pow2(keep_dim):
-        raise ValueError("keep_dim must be a power-of-two divisor of the state dimension")
-    psi = prep.state.reshape(n // keep_dim, keep_dim)
-    rho = psi.T @ psi  # sum over traced index of outer products
-    ledger = prep.ledger.adding(depth_units=_qubits(n), **{"state-prep-queries": 2})
-    return BlockEnc(rho, alpha=1.0, ancillas=_qubits(n // keep_dim), eps=0.0, ledger=ledger)
 
 
 def embed_state(v: np.ndarray, dim: int) -> np.ndarray:

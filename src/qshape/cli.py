@@ -167,7 +167,7 @@ def _build_grid(obj: dict, dim: int, domains, n_flag, seed: int) -> Grid:
         m = pts.shape[0]
         if m & (m - 1):
             _warn(f"{m} points is not a power of two; padding by repeating the last point")
-        return Grid.from_points(working, pad_to_pow2=True, source_domain=tuple(domains))
+        return Grid.from_points(working, pad_to_pow2=True)
     raise InputError(f"unknown grid kind {kind!r}")
 
 

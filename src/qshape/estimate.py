@@ -17,7 +17,6 @@ from .blockenc import (
     BlockEnc,
     ResourceLedger,
     StatePrep,
-    density_encode,
     identity,
     lcu,
     scale_down,
@@ -49,8 +48,8 @@ class EstimatorConfig:
     noise_mode: str = "exact"
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.noise_mode not in ("exact", "uniform"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
 
@@ -77,18 +76,15 @@ class AmplitudeEstimate:
 
 
 def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> EigenvalueEstimate:
-    """Estimate the largest eigenvalue of a PSD Hermitian encoding to
-    additive accuracy eps.
+    """Estimate the largest eigenvalue of a PSD encoding to additive
+    accuracy eps.
 
-    The exact value comes from the stored operator's spectrum (sorted
-    directly on the diagonal fast path, one dense eigensolve otherwise);
-    noise is then applied per the config.  The gap flag marks spectra whose
-    two largest eigenvalues are closer than the O(1)-gap assumption
-    tolerates; it is advisory and does not degrade the classical estimate.
+    The exact value comes from the sorted diagonal; noise is then applied
+    per the config.  The gap flag marks spectra whose two largest
+    eigenvalues are closer than the O(1)-gap assumption tolerates; it is
+    advisory and does not degrade the classical estimate.
     """
-    if not e.is_hermitian():
-        raise ValueError("largest_eigenvalue requires a Hermitian operator")
-    spectrum = np.sort(np.real(e.data)) if e.is_diagonal else np.linalg.eigvalsh(e.op)
+    spectrum = np.sort(e.data)
     lam_min = float(spectrum[0])
     if lam_min < -(_PSD_TOL + e.eps):
         raise ValueError(f"operator is not positive semidefinite (lambda_min = {lam_min:.6g})")
@@ -117,15 +113,21 @@ def overlap_gadget(prep1: StatePrep, prep2: StatePrep) -> BlockEnc:
         raise ValueError("overlap gadget requires equal state dimensions")
     n = prep1.dim
     phi1, phi2 = prep1.state, prep2.state
-    # layout (traced: branch qubit x N) x (kept: flag qubit)
-    psi = np.zeros((2, n, 2))
-    psi[0, :, 0] = (phi1 + phi2) / 2.0
-    psi[1, :, 1] = (phi1 - phi2) / 2.0
-    prep_ledger = prep1.ledger.merged(prep2.ledger).adding(
-        depth_units=2, **{"controlled-state-prep-queries": 2}
+    # rows: the traced branch qubit and N-dim register; columns: the kept
+    # flag qubit.  The two columns have disjoint supports, so the density
+    # matrix psi^T psi is exactly diagonal.
+    psi = np.zeros((2 * n, 2))
+    psi[:n, 0] = (phi1 + phi2) / 2.0
+    psi[n:, 1] = (phi1 - phi2) / 2.0
+    traced = int(round(math.log2(2 * n)))
+    # the controlled preparation, then the joint state prepared and
+    # unprepared once each to trace out all but the flag qubit
+    ledger = prep1.ledger.merged(prep2.ledger).adding(
+        depth_units=2 + traced + 1,
+        **{"controlled-state-prep-queries": 2, "state-prep-queries": 2},
     )
-    joint = StatePrep(state=psi.reshape(-1), ledger=prep_ledger)
-    rho = density_encode(joint, keep_dim=2)
+    diagonal = (psi.T @ psi).diagonal()
+    rho = BlockEnc(diagonal, alpha=1.0, ancillas=traced, eps=0.0, ledger=ledger)
     half_identity = scale_down(identity(2), 2.0)
     return lcu([rho, half_identity], [1, -1])
 
@@ -140,7 +142,7 @@ def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0, eps: fl
     eps_used = cfg.eps if eps is None else eps
     if eps_used <= 0:
         raise ValueError("eps must be positive")
-    raw = float(np.real(e.data[0] if e.is_diagonal else e.data[0, 0]))
+    raw = float(e.data[0])
     value = raw + cfg.draw(salt, eps=eps_used)
     queries = math.ceil(1.0 / eps_used)
     ledger = e.ledger.adding(depth_units=queries, **{"amplitude-estimation-queries": queries})

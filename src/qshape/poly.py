@@ -165,9 +165,12 @@ class MultiPoly:
                     coeff *= axis_polys[j][i]
                 key = tuple(combo)
                 new_terms[key] = new_terms.get(key, 0.0) + coeff
-        if not all(map(math.isfinite, new_terms.values())):
+        out = MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
+        # the certified sup and the Jensen correction grow with this sum, so
+        # it must stay finite too, not only each term
+        if not math.isfinite(out.coefficient_sum):
             raise ValueError(overflow)
-        return MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
+        return out
 
 
 # The sample grid of every polynomial of degree <= 409.
@@ -265,7 +268,6 @@ class Bounds:
     f_sup: float
     d1_sup: float
     d2_sup: float
-    grad_sup: float = 0.0
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Bounds":
@@ -273,12 +275,6 @@ class Bounds:
         d1 = max(2.0 * certified_sup(p.derivative()), 1e-300)
         d2 = max(2.0 * certified_sup(p.derivative(2)), 1e-300)
         return cls(f_sup=f_sup, d1_sup=d1, d2_sup=d2)
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly) -> "Bounds":
-        f_sup = max(2.0 * certified_sup(p), 1.0)
-        grad = sum(abs(a) * kj for a, k in p.terms for kj in k)
-        return cls(f_sup=f_sup, d1_sup=0.0, d2_sup=0.0, grad_sup=float(grad))
 
 
 def _finite_coefficient(v) -> float:

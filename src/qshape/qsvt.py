@@ -1,7 +1,7 @@
-"""Polynomial eigenvalue transformation of block-encoded Hermitian operators.
+"""Polynomial eigenvalue transformation of diagonal block encodings.
 
 The transform is computed by applying the polynomial directly to the
-eigenvalues (exact for the diagonal operators used throughout), while the
+stored diagonal, which holds the eigenvalues, while the
 (1, a+2, 4d*sqrt(eps/alpha)) contract of the transformation is enforced
 as metadata and query accounting.
 """
@@ -21,25 +21,19 @@ _SUP_TOL = 1e-9
 
 
 def transform(e: BlockEnc, P: Poly) -> BlockEnc:
-    """Block encoding of P(A/alpha) for Hermitian A, provided
-    |P(x)| <= 1/2 for all x in [-1, 1].
+    """Block encoding of P(A/alpha), provided |P(x)| <= 1/2 for all x in
+    [-1, 1].
 
     Costs exactly deg(P) uses of the input encoding plus one controlled use;
     the output error bound is 4*deg(P)*sqrt(eps/alpha).
     """
-    if not e.is_hermitian():
-        raise ValueError("eigenvalue transform requires a Hermitian operator")
     sup = certified_sup(P)
     if sup > 0.5 + _SUP_TOL:
         raise ValueError(
             f"polynomial sup-norm precondition violated: certified sup {sup:.6g} > 1/2"
         )
     d = P.degree
-    if e.is_diagonal:
-        data = P(np.real(e.data) / e.alpha)
-    else:
-        w, q = np.linalg.eigh(e.op / e.alpha)
-        data = (q * P(w)) @ np.conj(q.T)
+    data = P(e.data / e.alpha)
     eps_out = 4.0 * d * np.sqrt(e.eps / e.alpha) if e.eps > 0 else 0.0
     ledger = e.ledger.adding(
         depth_units=d * (e.ancillas + 1),
@@ -50,16 +44,11 @@ def transform(e: BlockEnc, P: Poly) -> BlockEnc:
 
 @dataclass(frozen=True)
 class MFamily:
-    """Diagonal encodings of f, f'/P and f''/Q at the grid points, plus the
-    normalizers used so every transformed polynomial obeys the sup-norm
-    precondition."""
+    """Diagonal encodings of f, f'/P and f''/Q at the grid points."""
 
     M: BlockEnc
     M1: BlockEnc
     M2: BlockEnc
-    f_scale: float
-    d1_scale: float
-    d2_scale: float
     second_derivative_degenerate: bool
 
 
@@ -78,12 +67,4 @@ def build_M_family(f: Poly, grid_enc: BlockEnc, bounds: Bounds) -> MFamily:
     degenerate = f.degree < 2
     d2 = f.derivative(2)
     M2 = transform(grid_enc, d2.scaled(bounds.d2_sup))
-    return MFamily(
-        M=M,
-        M1=M1,
-        M2=M2,
-        f_scale=bounds.f_sup,
-        d1_scale=bounds.d1_sup,
-        d2_scale=bounds.d2_sup,
-        second_derivative_degenerate=degenerate,
-    )
+    return MFamily(M=M, M1=M1, M2=M2, second_derivative_degenerate=degenerate)

@@ -70,7 +70,6 @@ class Grid:
 
     points: np.ndarray
     n_original: int
-    source_domain: tuple | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -80,7 +79,8 @@ class Grid:
             pts = pts.copy()
             pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if np.max(np.abs(pts)) > _HALF + 1e-9:
+        # written so that NaN coordinates fail it too
+        if not np.max(np.abs(pts)) <= _HALF + 1e-9:
             raise ValueError("grid coordinates must lie in [-1/2, 1/2]")
         n = pts.shape[0]
         if n & (n - 1):
@@ -123,7 +123,7 @@ class Grid:
         return cls(points=pts, n_original=n)
 
     @classmethod
-    def from_points(cls, points, pad_to_pow2: bool = False, source_domain=None) -> "Grid":
+    def from_points(cls, points, pad_to_pow2: bool = False) -> "Grid":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 1 and np.asarray(points).ndim == 1:
             pts = pts.T
@@ -133,7 +133,7 @@ class Grid:
             if not pad_to_pow2:
                 raise ValueError(f"{m} points is not a power of two; pass pad_to_pow2=True")
             pts = np.vstack([pts, np.repeat(pts[-1:], n - m, axis=0)])
-        return cls(points=pts, n_original=m, source_domain=source_domain)
+        return cls(points=pts, n_original=m)
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,8 @@ class WeightVector:
             lam = lam.copy()
             lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
+        if not np.isfinite(lam).all():
+            raise ValueError("weights must be finite")
         if np.min(lam) < -1e-15:
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(lam)) - 1.0) > 1e-12:
@@ -214,16 +216,40 @@ def _applied_prep(e: BlockEnc, state: np.ndarray, extra_ledger: ResourceLedger) 
 
 
 # --------------------------------------------------------------------------
+# the threshold pipeline shared by the second-derivative, first-derivative
+# and monotonicity tests
+
+# (below the band, above it) for the two convexity tests
+_CONVEXITY = (Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)
+
+
+def _threshold_test(shifted: BlockEnc, threshold: float, outcomes: tuple[str, str], witness_fn,
+                    bound_name: str, bound: float, cfg: EstimatorConfig, salt: int) -> Verdict:
+    """Estimate the largest eigenvalue of ``shifted`` and compare it with
+    ``threshold`` under a 2*eps band: below the band is ``outcomes[0]``,
+    above it ``outcomes[1]`` with the witness ``witness_fn()``, and inside
+    it Inconclusive."""
+    est = largest_eigenvalue(shifted, cfg, salt=salt)
+    band = 2.0 * cfg.eps
+    below, above = outcomes
+    if est.value < threshold - band:
+        outcome = below
+    elif est.value > threshold + band:
+        outcome = above
+    else:
+        outcome = Outcome.INCONCLUSIVE
+    return Verdict(
+        outcome=outcome,
+        estimates={"lambda_max": est.value, "threshold": threshold, bound_name: bound},
+        margin=abs(est.value - threshold) - band,
+        ledger=est.ledger,
+        witness=witness_fn() if outcome == above else None,
+        gap_flag=est.gap_flag,
+    )
+
+
+# --------------------------------------------------------------------------
 # second-derivative test
-
-
-def _threshold_outcome(est: float, threshold: float, band: float,
-                       low_outcome: str, high_outcome: str) -> str:
-    if est < threshold - band:
-        return low_outcome
-    if est > threshold + band:
-        return high_outcome
-    return Outcome.INCONCLUSIVE
 
 
 def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> Verdict:
@@ -243,25 +269,13 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
             reason="second derivative is identically zero (degree < 2)",
         )
     shifted = be.lcu([be.identity(grid.n), fam.M2], [1, -1])
-    est = largest_eigenvalue(shifted, cfg, salt=_SALT_SECOND)
-    band = 2.0 * cfg.eps
-    outcome = _threshold_outcome(est.value, 0.5, band, Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)
-    witness = None
-    if outcome == Outcome.NOT_CONVEX:
-        d2_vals = f.derivative(2)(grid.original_points[:, 0])
-        witness = float(grid.original_points[int(np.argmin(d2_vals)), 0])
-    return Verdict(
-        outcome=outcome,
-        estimates={
-            "lambda_max": est.value,
-            "threshold": 0.5,
-            "second_derivative_bound": bounds.d2_sup,
-        },
-        margin=abs(est.value - 0.5) - band,
-        ledger=est.ledger,
-        witness=witness,
-        gap_flag=est.gap_flag,
-    )
+
+    def lowest_curvature():
+        xs = grid.original_points[:, 0]
+        return float(xs[int(np.argmin(f.derivative(2)(xs)))])
+
+    return _threshold_test(shifted, 0.5, _CONVEXITY, lowest_curvature,
+                           "second_derivative_bound", bounds.d2_sup, cfg, _SALT_SECOND)
 
 
 # --------------------------------------------------------------------------
@@ -337,28 +351,15 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     comp = _mask_complement(grid)
     shifted = be.product(comp, be.product(shifted, comp))
     eps_prime = cfg.eps / (2.0 * sqrt_n)
-    est = largest_eigenvalue(shifted, replace(cfg, eps=eps_prime), salt=_SALT_FIRST)
-    threshold = 1.0 / (2.0 * sqrt_n)
-    band = 2.0 * eps_prime
-    outcome = _threshold_outcome(est.value, threshold, band, Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)
-    witness = None
-    if outcome == Outcome.NOT_CONVEX:
+
+    def steepest_drop():
         xs = grid.original_points[:, 0]
-        diffs = np.diff(f.derivative()(xs))
-        i = int(np.argmin(diffs))
-        witness = (float(xs[i]), float(xs[i + 1]))
-    return Verdict(
-        outcome=outcome,
-        estimates={
-            "lambda_max": est.value,
-            "threshold": threshold,
-            "first_derivative_bound": bounds.d1_sup,
-        },
-        margin=abs(est.value - threshold) - band,
-        ledger=est.ledger,
-        witness=witness,
-        gap_flag=est.gap_flag,
-    )
+        i = int(np.argmin(np.diff(f.derivative()(xs))))
+        return (float(xs[i]), float(xs[i + 1]))
+
+    return _threshold_test(shifted, 1.0 / (2.0 * sqrt_n), _CONVEXITY, steepest_drop,
+                           "first_derivative_bound", bounds.d1_sup,
+                           replace(cfg, eps=eps_prime), _SALT_FIRST)
 
 
 # --------------------------------------------------------------------------
@@ -379,28 +380,16 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
     fam = build_M_family(f, grid_enc, bounds)
     m1 = fam.M1 if direction == "increasing" else be.lcu([fam.M1], [-1])
     shifted = be.lcu([be.identity(grid.n), m1], [1, -1])
-    est = largest_eigenvalue(shifted, cfg, salt=_SALT_MONO)
-    band = 2.0 * cfg.eps
     good = Outcome.MONOTONE_INCREASING if direction == "increasing" else Outcome.MONOTONE_DECREASING
-    outcome = _threshold_outcome(est.value, 0.5, band, good, Outcome.NOT_MONOTONE)
-    witness = None
-    if outcome == Outcome.NOT_MONOTONE:
+
+    def worst_slope():
         xs = grid.original_points[:, 0]
         d1_vals = f.derivative()(xs)
         i = int(np.argmin(d1_vals)) if direction == "increasing" else int(np.argmax(d1_vals))
-        witness = float(xs[i])
-    return Verdict(
-        outcome=outcome,
-        estimates={
-            "lambda_max": est.value,
-            "threshold": 0.5,
-            "first_derivative_bound": bounds.d1_sup,
-        },
-        margin=abs(est.value - 0.5) - band,
-        ledger=est.ledger,
-        witness=witness,
-        gap_flag=est.gap_flag,
-    )
+        return float(xs[i])
+
+    return _threshold_test(shifted, 0.5, (good, Outcome.NOT_MONOTONE), worst_slope,
+                           "first_derivative_bound", bounds.d1_sup, cfg, _SALT_MONO)
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +513,7 @@ def _jensen_estimates_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cf
     gadgets = []
     for j in range(grid.dim):
         phi1j = _applied_prep(axis_encs[j], sqrt_lam.state, sqrt_lam.ledger)
-        gadgets.append(_as_diagonal(overlap_gadget(phi1j, phi2)))
+        gadgets.append(overlap_gadget(phi1j, phi2))
     lhs_enc, corr_lhs = build_multivariate_M(f, gadgets, value_scale=0.25)
     a_lhs = amplitude_estimate(lhs_enc, cfg, salt=_SALT_JENSEN_LHS, eps=cfg.eps / corr_lhs)
     lhs = a_lhs.value * corr_lhs
@@ -532,16 +521,6 @@ def _jensen_estimates_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cf
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
     scales = {"lhs_scale": corr_lhs, "rhs_scale": 4.0 * corr_rhs, "gadget_factor": 0.25}
     return lhs, rhs, ledger, scales
-
-
-def _as_diagonal(e: BlockEnc) -> BlockEnc:
-    if e.is_diagonal:
-        return e
-    off = e.op - np.diag(np.diagonal(e.op))
-    if np.max(np.abs(off)) > 1e-12:
-        raise ValueError("encoding is not diagonal")
-    return BlockEnc(np.real(np.diagonal(e.op)).copy(), alpha=e.alpha, ancillas=e.ancillas,
-                    eps=e.eps, ledger=e.ledger)
 
 
 def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig) -> Verdict:

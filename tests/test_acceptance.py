@@ -144,7 +144,7 @@ def test_criterion_3_transform_contract():
             delta = rng.uniform(-eta, eta, 8)
             clean = transform(BlockEnc(xs, alpha=alpha, ancillas=0, eps=eta), p)
             noisy = transform(BlockEnc(xs + delta, alpha=alpha, ancillas=0, eps=eta), p)
-            deviation = float(np.max(np.abs(noisy.diagonal - clean.diagonal)))
+            deviation = float(np.max(np.abs(noisy.data - clean.data)))
             bound = 4.0 * p.degree * math.sqrt(eta / alpha)
             if deviation > bound:
                 violations += 1
@@ -170,7 +170,7 @@ def test_criterion_4_threshold_identity():
         grid = Grid.uniform(n)
         bounds = Bounds.from_poly(f)
         fam = build_M_family(f, encode_grid_values(grid.x), bounds)
-        lam_min = float(np.min(np.real(fam.M2.diagonal)))
+        lam_min = float(np.min(fam.M2.data))
         v = test_convex_second_derivative(f, grid, cfg)
         worst = max(worst, abs(v.estimates["lambda_max"] - (1.0 - lam_min) / 2.0))
         # the decision must flip with the sign of min f'' when the
@@ -234,7 +234,7 @@ def test_criterion_6_multivariate_fidelity():
         pts = rng.uniform(-0.5, 0.5, (8, dim))
         encs = [encode_grid_values(pts[:, j]) for j in range(dim)]
         e, correction = build_multivariate_M(f, encs)
-        worst = max(worst, float(np.max(np.abs(np.real(e.diagonal) * correction - f(pts)))))
+        worst = max(worst, float(np.max(np.abs(e.data * correction - f(pts)))))
     report(
         "criterion 6 multivariate encoding fidelity",
         worst <= 1e-10,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
-from qshape.blockenc import BlockEnc, ResourceLedger, StatePrep
+from qshape.blockenc import BlockEnc, ResourceLedger
 
 
 def diag_enc(values, alpha=1.0, eps=0.0):
@@ -53,10 +53,22 @@ def test_rejects_non_pow2_dim():
         diag_enc([0.1, 0.2, 0.3])
 
 
+@pytest.mark.parametrize("data", [
+    np.eye(2) / 2,  # a dense matrix, even a diagonal one
+    np.zeros((1, 2)),
+    np.array([0.5, 0.25j]),
+    np.array([0.5, 0.25], dtype=complex),  # complex dtype, real values
+], ids=["square", "row", "complex", "complex-dtype"])
+def test_rejects_2d_and_complex_data(data):
+    with pytest.raises(ValueError, match="1-D diagonal|must be real"):
+        BlockEnc(data, alpha=1.0, ancillas=0, eps=0.0)
+
+
 def test_identity_is_exact():
     e = be.identity(4)
     assert e.alpha == 1.0 and e.eps == 0.0
-    np.testing.assert_array_equal(e.op, np.eye(4))
+    assert e.is_diagonal
+    np.testing.assert_array_equal(e.data, np.ones(4))
 
 
 # -- state preparation -----------------------------------------------------
@@ -72,14 +84,7 @@ def test_diag_from_state():
     e = be.diag_from_state(be.encode_state(v))
     assert e.alpha == 1.0
     assert e.ancillas == 2 + 3
-    np.testing.assert_array_equal(e.diagonal, v)
-
-
-def test_density_encode_traces_leading_subsystem():
-    # product state |+> (x) |0>: reduced state on the kept qubit is |0><0|
-    psi = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
-    rho = be.density_encode(StatePrep(state=psi, ledger=ResourceLedger()), keep_dim=2)
-    np.testing.assert_allclose(rho.op, np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_array_equal(e.data, v)
 
 
 # -- calculus lemmas -------------------------------------------------------
@@ -90,22 +95,15 @@ def test_product_composition():
     e2 = diag_enc([0.25, 0.25, -0.5, 0.5], alpha=1.0, eps=0.02)
     p = be.product(e1, e2)
     assert p.alpha == 2.0
-    np.testing.assert_allclose(p.op, e1.op @ e2.op)
+    np.testing.assert_allclose(np.diag(p.data), np.diag(e1.data) @ np.diag(e2.data))
     assert p.eps == pytest.approx(e1.alpha * e2.eps + e2.alpha * e1.eps)
-
-
-def test_product_mixed_dense_diagonal():
-    d = diag_enc([0.5, -0.5])
-    m = BlockEnc(np.array([[0.0, 0.5], [0.5, 0.0]]), alpha=1.0, ancillas=0, eps=0.0)
-    np.testing.assert_allclose(be.product(d, m).op, d.op @ m.op)
-    np.testing.assert_allclose(be.product(m, d).op, m.op @ d.op)
 
 
 def test_lcu_signs_and_prefactor():
     e1 = diag_enc([0.5, 0.25])
     e2 = diag_enc([0.25, 0.5])
     c = be.lcu([e1, e2], [1, -1])
-    np.testing.assert_allclose(c.diagonal, (e1.data - e2.data) / 2)
+    np.testing.assert_allclose(c.data, (e1.data - e2.data) / 2)
     assert c.alpha == 1.0
 
 
@@ -117,7 +115,7 @@ def test_lcu_requires_equal_alphas():
 def test_scale_down():
     e = diag_enc([0.5, -0.5], eps=0.1)
     s = be.scale_down(e, 2.0)
-    np.testing.assert_allclose(s.diagonal, [0.25, -0.25])
+    np.testing.assert_allclose(s.data, [0.25, -0.25])
     assert s.eps == pytest.approx(0.05)
     with pytest.raises(ValueError):
         be.scale_down(e, 1.0)
@@ -126,7 +124,7 @@ def test_scale_down():
 def test_amplify_boosts_and_counts_uses():
     e = diag_enc([0.3, -0.2])
     a = be.amplify(e, 2.0)
-    np.testing.assert_allclose(a.diagonal, [0.6, -0.4])
+    np.testing.assert_allclose(a.data, [0.6, -0.4])
     m = be.amplification_uses(2.0, 0.25, 1e-6)
     assert a.ledger.count("amplification-uses") == m
     assert m == math.ceil((2.0 / 0.25) * math.log(2.0 / 1e-6))
@@ -154,7 +152,7 @@ def test_normalize_subnormalization_recovers_values(v):
     prep = be.encode_state(x / nrm)
     e = be.normalize_subnormalization(be.diag_from_state(prep), nrm)
     assert e.alpha == pytest.approx(1.0)
-    np.testing.assert_allclose(e.diagonal, x, atol=1e-12)
+    np.testing.assert_allclose(e.data, x, atol=1e-12)
 
 
 def test_normalize_subnormalization_depth_is_logarithmic():

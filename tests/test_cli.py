@@ -229,6 +229,11 @@ MULTI_OVERFLOW = {
     # a centre whose cube overflows a Python float power
     "power": ({"kind": "multi", "dim": 2, "terms": [{"a": 1.0, "k": [3, 0]}]},
               [[1e200, 2e200], [0, 4]]),
+    # finite remapped coefficients whose absolute sum overflows, on the
+    # default domain
+    "sum": ({"kind": "multi", "dim": 2,
+             "terms": [{"a": 1e308, "k": [2, 0]}, {"a": 1e308, "k": [0, 1]}]},
+            [[-0.5, 0.5], [-0.5, 0.5]]),
 }
 
 

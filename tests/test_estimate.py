@@ -45,19 +45,6 @@ def test_largest_eigenvalue_exact_diagonal():
     assert not est.gap_flag
 
 
-def test_largest_eigenvalue_dense_matches_eigvalsh():
-    rng = np.random.default_rng(4)
-    cfg = EstimatorConfig(eps=0.01)
-    for _ in range(5):
-        a = rng.normal(size=(8, 8))
-        m = a @ a.T
-        m /= 1.01 * np.linalg.norm(m, 2)
-        w = np.linalg.eigvalsh(m)
-        est = largest_eigenvalue(BlockEnc(m, alpha=1.0, ancillas=0, eps=0.0), cfg)
-        assert est.value == pytest.approx(w[-1], abs=1e-12)
-        assert est.gap_flag == bool(w[-1] - w[-2] < 0.01)
-
-
 def test_largest_eigenvalue_gap_flag():
     cfg = EstimatorConfig(eps=0.01)
     est = largest_eigenvalue(diag_enc([0.5, 0.4999, 0.1, 0.0]), cfg)
@@ -96,8 +83,57 @@ def test_overlap_gadget_encodes_quarter_overlap():
         b /= np.linalg.norm(b)
         g = overlap_gadget(_prep(a), _prep(b))
         w = float(a @ b)
-        np.testing.assert_allclose(np.diagonal(g.op), [w / 4, -w / 4], atol=1e-12)
-        assert np.max(np.abs(g.op - np.diag(np.diagonal(g.op)))) < 1e-12
+        np.testing.assert_allclose(g.data, [w / 4, -w / 4], atol=1e-12)
+
+
+# Dense reference for the gadget: the joint state's 2x2 reduced density
+# matrix psi^T psi stored densely, then a dense linear combination with I/2,
+# with the contract and ledger of the density encoding and of lcu.
+
+
+def _dense_overlap_gadget(prep1, prep2):
+    n = prep1.dim
+    psi = np.zeros((2, n, 2))
+    psi[0, :, 0] = (prep1.state + prep2.state) / 2.0
+    psi[1, :, 1] = (prep1.state - prep2.state) / 2.0
+    joint = psi.reshape(-1).copy()
+    rho = joint.reshape(2 * n, 2).T @ joint.reshape(2 * n, 2)
+    rho_ledger = (prep1.ledger.merged(prep2.ledger)
+                  .adding(depth_units=2, **{"controlled-state-prep-queries": 2})
+                  .adding(depth_units=int(math.log2(4 * n)), **{"state-prep-queries": 2}))
+    half = be.scale_down(be.identity(2), 2.0)
+    op = sum(s * m for s, m in zip([1, -1], [rho, np.diag(half.data)])) / 2
+    ledger = rho_ledger.merged(half.ledger).adding(depth_units=2, **{"lcu-combinations": 1})
+    ancillas = max(int(math.log2(2 * n)), half.ancillas) + 1
+    return op, 1.0, ancillas, 0.0, ledger
+
+
+def _gadget_states():
+    rng = np.random.default_rng(2604)
+    for n in (1, 2, 4, 8, 64, 512):
+        for _ in range(10):
+            a, b = rng.normal(size=(2, n))
+            yield a / np.linalg.norm(a), b / np.linalg.norm(b)
+        a = np.zeros(n)
+        a[0] = 1.0
+        yield a, a
+        yield a, -a
+        yield a, np.roll(a, 1) if n > 1 else a
+    # the Jensen pipeline's shape: prep2 is zero beyond its first half
+    a = rng.normal(size=16)
+    b = be.embed_state(rng.normal(size=8), 16)
+    yield a / np.linalg.norm(a), b / np.linalg.norm(b)
+
+
+def test_overlap_gadget_matches_dense_reference():
+    for a, b in _gadget_states():
+        p1 = StatePrep(state=a, ledger=ResourceLedger.of(depth_units=3, **{"x": 1}))
+        p2 = StatePrep(state=b, ledger=ResourceLedger.of(depth_units=5, **{"y": 2}))
+        g = overlap_gadget(p1, p2)
+        op, alpha, ancillas, eps, ledger = _dense_overlap_gadget(p1, p2)
+        assert op[0, 1] == 0.0 and op[1, 0] == 0.0
+        assert g.data.tobytes() == np.diagonal(op).tobytes()
+        assert (g.alpha, g.ancillas, g.eps, g.ledger) == (alpha, ancillas, eps, ledger)
 
 
 def test_overlap_gadget_dimension_mismatch():

@@ -64,11 +64,27 @@ def test_weights_validation():
     np.testing.assert_allclose(w.padded(4).lambdas, [0.25, 0.75, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeightVector([math.nan, math.nan]),
+    lambda: WeightVector([math.inf, 0.0]),
+    lambda: WeightVector([0.5, 0.5, math.inf, -math.inf]),
+    lambda: Grid.from_points([math.nan, 0.1]),
+    lambda: Grid.from_points([0.1, -math.inf]),
+    lambda: Grid(points=np.array([[0.1, math.nan], [0.0, 0.2]]), n_original=2),
+    lambda: EstimatorConfig(eps=math.nan),
+    lambda: EstimatorConfig(eps=math.inf),
+], ids=["weights-nan", "weights-inf", "weights-inf-pair", "points-nan", "points-inf",
+        "points-2d-nan", "eps-nan", "eps-inf"])
+def test_library_inputs_reject_non_finite(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_encode_grid_values_exact():
     g = Grid.uniform(16)
     e = encode_grid_values(g.x)
     assert e.alpha == pytest.approx(1.0)
-    np.testing.assert_allclose(e.diagonal, g.x, atol=1e-12)
+    np.testing.assert_allclose(e.data, g.x, atol=1e-12)
 
 
 # -- second-derivative test ------------------------------------------------
@@ -101,6 +117,31 @@ def test_second_derivative_degenerate():
     assert "degree" in (v.reason or "")
 
 
+def _threshold_verdicts(f, grid, cfg):
+    """(eps the estimate was made at, verdict) for the three threshold tests."""
+    yield cfg.eps, test_convex_second_derivative(f, grid, cfg)
+    yield cfg.eps / (2.0 * math.sqrt(grid.n)), test_convex_first_derivative(f, grid, cfg)
+    yield cfg.eps, test_monotone(f, grid, "increasing", cfg)
+    yield cfg.eps, test_monotone(f, grid, "decreasing", cfg)
+
+
+def test_threshold_band_margin_and_witness():
+    # Inconclusive exactly inside the 2*eps band, margin measured from its
+    # edge, and a witness on every negative verdict and on no other
+    cfg = EstimatorConfig(eps=0.01)
+    outcomes = set()
+    for coeffs in ([0, 0, 0, 0, 1.0], [0, 0, 0, 1.0], [0.1, 0.5, 0.2], [0, 0, -1.0]):
+        for eps, v in _threshold_verdicts(Poly(coeffs), Grid.uniform(8), cfg):
+            distance = abs(v.estimates["lambda_max"] - v.estimates["threshold"])
+            assert v.margin == distance - 2.0 * eps
+            assert (v.outcome == Outcome.INCONCLUSIVE) == (distance <= 2.0 * eps)
+            negative = v.outcome in (Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE)
+            assert (v.witness is not None) == negative
+            outcomes.add(v.outcome)
+    assert {Outcome.INCONCLUSIVE, Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE,
+            Outcome.CONVEX_ON_GRID, Outcome.MONOTONE_INCREASING} <= outcomes
+
+
 def test_threshold_identity():
     # pipeline estimate equals (1 - min f''/Q)/2 exactly in exact mode
     from qshape.poly import Bounds
@@ -125,37 +166,45 @@ def test_build_M3_entries():
     p = Bounds.from_poly(f).d1_sup
     expected = np.full(4, 0.4 / (math.sqrt(4) * p))
     expected[-1] = 0.0  # wrap-around masked
-    np.testing.assert_allclose(e.diagonal, expected, atol=1e-10)
+    np.testing.assert_allclose(e.data, expected, atol=1e-10)
 
 
 # Dense reference for build_M3: the Hadamard layer and the shift-difference
-# circulant stored as n x n matrices, multiplied densely, with BlockEnc's
-# norm checks (an SVD where the cheap bound fails) run on every factor.
+# circulant stored as n x n matrices, each with its contract and an SVD
+# check that its norm is within its alpha, multiplied densely.
 
 
-def _hadamard_layer(n: int) -> BlockEnc:
+def _layer(m: np.ndarray, alpha: float, ancillas: int):
+    assert np.linalg.norm(m, 2) <= alpha + 1e-9
+    n = m.shape[0]
+    ledger = ResourceLedger.of(depth_units=int(round(math.log2(n))))
+    return m, be.Contract(alpha=alpha, ancillas=ancillas, eps=0.0, ledger=ledger)
+
+
+def _hadamard_layer(n: int):
     h = np.array([[1.0, 1.0], [1.0, -1.0]])
     m = np.array([[1.0]])
     while m.shape[0] < n:
         m = np.kron(m, h)
-    return BlockEnc(m / math.sqrt(n), alpha=1.0, ancillas=0, eps=0.0,
-                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
+    return _layer(m / math.sqrt(n), alpha=1.0, ancillas=0)
 
 
-def _shift_difference_circulant(n: int) -> BlockEnc:
+def _shift_difference_circulant(n: int):
     l = -np.eye(n)
     l += np.eye(n, k=1)
     l[-1, 0] = 1.0
-    return BlockEnc(l, alpha=2.0, ancillas=1, eps=0.0,
-                    ledger=ResourceLedger.of(depth_units=int(round(math.log2(n)))))
+    return _layer(l, alpha=2.0, ancillas=1)
 
 
 def _dense_build_M3(f: Poly, grid: Grid) -> BlockEnc:
     bounds = Bounds.from_poly(f)
     n = grid.n
     m1 = transform(encode_grid_values(grid.x), f.derivative().scaled(bounds.d1_sup))
-    column = be.product(_shift_difference_circulant(n), be.product(m1, _hadamard_layer(n)))
-    diag = be.diag_from_column(column.op[:, 0], column)
+    h, h_contract = _hadamard_layer(n)
+    l, l_contract = _shift_difference_circulant(n)
+    column = (l @ (m1.data[:, None] * h))[:, 0]
+    contract = be.product_contract(l_contract, be.product_contract(m1, h_contract))
+    diag = be.diag_from_column(column, contract)
     return be.product(_mask_complement(grid), be.amplify(diag, 2.0))
 
 
@@ -182,7 +231,7 @@ def test_build_M3_matches_dense_reference(f, grid):
 
 def test_build_M3_linear_is_zero():
     e = build_M3(Poly([0.3, 0.5]), Grid.uniform(8))
-    np.testing.assert_allclose(e.diagonal, np.zeros(8), atol=1e-12)
+    np.testing.assert_allclose(e.data, np.zeros(8), atol=1e-12)
 
 
 def test_build_M3_requires_sorted_grid():
@@ -303,7 +352,7 @@ def test_multivariate_encoding_single_monomial():
     encs = [encode_grid_values(pts[:, j]) for j in range(2)]
     e, corr = build_multivariate_M(f, encs)
     assert corr == pytest.approx(1.0)  # K = 1, C = 1
-    np.testing.assert_allclose(np.real(e.diagonal), [0.25, -0.25], atol=1e-12)
+    np.testing.assert_allclose(e.data, [0.25, -0.25], atol=1e-12)
 
 
 def test_multivariate_encoding_unused_axis():
@@ -311,7 +360,7 @@ def test_multivariate_encoding_unused_axis():
     pts = np.array([[0.4, 0.1], [-0.2, 0.3]])
     encs = [encode_grid_values(pts[:, j]) for j in range(2)]
     e, corr = build_multivariate_M(f, encs)
-    np.testing.assert_allclose(np.real(e.diagonal) * corr, pts[:, 0] ** 2, atol=1e-12)
+    np.testing.assert_allclose(e.data * corr, pts[:, 0] ** 2, atol=1e-12)
 
 
 def test_multivariate_encoding_coefficients():
@@ -320,7 +369,7 @@ def test_multivariate_encoding_coefficients():
     encs = [encode_grid_values(pts[:, j]) for j in range(2)]
     e, corr = build_multivariate_M(f, encs)
     assert corr == pytest.approx(2 * 0.5)  # K = 2, C = 0.5
-    np.testing.assert_allclose(np.real(e.diagonal) * corr, f(pts), atol=1e-12)
+    np.testing.assert_allclose(e.data * corr, f(pts), atol=1e-12)
 
 
 def test_multivariate_encoding_caps():
