@@ -11,7 +11,7 @@ operation returns a new value; nothing is mutated in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+# Uniform amplification's fixed parameters (Gilyen, Su, Low, Wiebe,
+# arXiv:1806.01838): a gain gamma needs every singular value of A/alpha at
+# most (1 - delta)/gamma, and the boosted operator is off by gamma*eps_amp
+# relative to its norm.
+_DELTA = 0.25
+_EPS_AMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,13 +162,6 @@ class BlockEnc:
         rest = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v
         return np.concatenate([top, rest])
 
-    def _replace(self, **kw) -> "BlockEnc":
-        base = dict(
-            data=self.data, alpha=self.alpha, ancillas=self.ancillas, eps=self.eps, ledger=self.ledger
-        )
-        base.update(kw)
-        return BlockEnc(**base)
-
 
 def identity(n: int) -> BlockEnc:
     """The identity block encodes itself exactly (alpha = 1, eps = 0)."""
@@ -246,14 +245,12 @@ def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
     return BlockEnc(data, alpha=c.alpha, ancillas=c.ancillas, eps=c.eps, ledger=c.ledger)
 
 
-def lcu(encodings, signs=None) -> BlockEnc:
+def lcu(encodings, signs) -> BlockEnc:
     """Linear combination (sum_i s_i A_i) / m of m equal-alpha encodings."""
     encodings = list(encodings)
     if not encodings:
         raise ValueError("lcu requires at least one encoding")
     m = len(encodings)
-    if signs is None:
-        signs = [1] * m
     signs = [int(s) for s in signs]
     if len(signs) != m or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a matching sequence of +1/-1")
@@ -284,29 +281,25 @@ def scale_down(e: BlockEnc, p: float) -> BlockEnc:
     return BlockEnc(e.data / p, alpha=e.alpha, ancillas=e.ancillas + 1, eps=e.eps / p, ledger=ledger)
 
 
-def amplification_uses(gamma: float, delta: float, eps_amp: float) -> int:
-    """Query count of uniform amplification: m = ceil((gamma/delta) ln(gamma/eps))."""
-    return int(math.ceil((gamma / delta) * math.log(gamma / eps_amp)))
+def amplification_uses(gamma: float) -> int:
+    """Query count of uniform amplification: m = ceil((gamma/delta) ln(gamma/eps_amp))."""
+    return int(math.ceil((gamma / _DELTA) * math.log(gamma / _EPS_AMP)))
 
 
-def amplify(e: BlockEnc, gamma: float, delta: float = 0.25, eps_amp: float = 1e-6) -> BlockEnc:
+def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     """Boost the encoded operator to gamma*A, valid when every singular value
     of A/alpha is at most (1-delta)/gamma.  Costs m uses of the input."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    if not 0.0 < eps_amp < 0.5:
-        raise ValueError("eps_amp must lie in (0, 1/2)")
     smax = float(np.max(np.abs(e.data))) / e.alpha
-    if smax > (1.0 - delta) / gamma + 1e-12:
+    if smax > (1.0 - _DELTA) / gamma + 1e-12:
         raise ValueError(
             f"amplification precondition violated: max singular value {smax:.6g} "
-            f"exceeds (1-delta)/gamma = {(1.0 - delta) / gamma:.6g}"
+            f"exceeds (1-delta)/gamma = {(1.0 - _DELTA) / gamma:.6g}"
         )
-    m = amplification_uses(gamma, delta, eps_amp)
+    m = amplification_uses(gamma)
     norm_a = smax * e.alpha
-    eps_out = gamma * e.eps + gamma * norm_a * eps_amp
+    eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
     ledger = e.ledger.adding(depth_units=m, **{"amplification-uses": m})
     return BlockEnc(gamma * e.data, alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
 
@@ -321,12 +314,7 @@ def embed_state(v: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def normalize_subnormalization(
-    e: BlockEnc,
-    factor: float,
-    delta: float = 0.25,
-    eps_amp: float = 1e-6,
-) -> BlockEnc:
+def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:
     """Rescale the encoded operator by ``factor``: scaling for factor < 1,
     amplification for factor > 1, no-op at factor = 1.
 
@@ -341,9 +329,9 @@ def normalize_subnormalization(
         return e
     if factor < 1.0:
         return scale_down(e, 1.0 / factor)
-    amplified = amplify(e, factor, delta=delta, eps_amp=eps_amp)
+    amplified = amplify(e, factor)
     ledger = ResourceLedger(
         entries=amplified.ledger.entries,
         depth_units=e.ledger.depth_units + _qubits(e.dim),
     )
-    return amplified._replace(ledger=ledger)
+    return replace(amplified, ledger=ledger)

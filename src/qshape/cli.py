@@ -316,10 +316,7 @@ def run(args) -> int:
             _run_method(m, f, grid, w, cfg, direction, domains, args.oracle_check == "on")
             for m in methods
         ]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (InputError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

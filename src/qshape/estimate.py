@@ -132,18 +132,17 @@ def overlap_gadget(prep1: StatePrep, prep2: StatePrep) -> BlockEnc:
     return lcu([rho, half_identity], [1, -1])
 
 
-def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0, eps: float | None = None) -> AmplitudeEstimate:
+def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int = 0) -> AmplitudeEstimate:
     """Estimate the flagged-branch amplitude, i.e. the (0, 0) entry of the
     encoded operator, to additive accuracy eps using O(1/eps) queries.
 
-    ``eps`` overrides the config accuracy when a pipeline needs a tighter
-    raw estimate ahead of scale correction.
+    ``eps`` is the raw estimate's accuracy: a pipeline that multiplies the
+    estimate by a scale divides its own accuracy by that scale.
     """
-    eps_used = cfg.eps if eps is None else eps
-    if eps_used <= 0:
+    if eps <= 0:
         raise ValueError("eps must be positive")
     raw = float(e.data[0])
-    value = raw + cfg.draw(salt, eps=eps_used)
-    queries = math.ceil(1.0 / eps_used)
+    value = raw + cfg.draw(salt, eps=eps)
+    queries = math.ceil(1.0 / eps)
     ledger = e.ledger.adding(depth_units=queries, **{"amplitude-estimation-queries": queries})
     return AmplitudeEstimate(value=value, ledger=ledger)

@@ -23,22 +23,18 @@ class OracleResult:
     details: dict | None = None
 
 
-def _grid_points(grid) -> np.ndarray:
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
-    return pts
-
-
-def oracle_convex(f, grid, weights=None, mode: str = "auto") -> OracleResult:
-    """Direct convexity evidence on the sampled points.
+def oracle_convex(f, points, weights=None, mode: str = "second") -> OracleResult:
+    """Direct convexity evidence on the sampled points, an array of shape
+    (n,) or (n, dim).
 
     Univariate without weights: the sign of min f''(x_i) (``mode="second"``)
     or of the minimum consecutive first-derivative difference
-    (``mode="first"``).  With weights (or multivariate): the exact Jensen
-    pair (LHS, RHS).
+    (``mode="first"``).  With weights, an array of n convex weights (needed
+    when multivariate): the exact Jensen pair (LHS, RHS).
     """
-    pts = _grid_points(grid)
+    pts = np.asarray(points, dtype=float)
     if weights is not None or isinstance(f, MultiPoly):
-        lam = np.asarray(getattr(weights, "lambdas", weights), dtype=float)
+        lam = np.asarray(weights, dtype=float)
         if isinstance(f, MultiPoly):
             xs = pts.reshape(len(lam), -1)
             center = lam @ xs
@@ -54,7 +50,7 @@ def oracle_convex(f, grid, weights=None, mode: str = "auto") -> OracleResult:
         return OracleResult(verdict, witness, {"lhs": lhs, "rhs": rhs})
 
     xs = pts.reshape(-1)
-    if mode in ("auto", "second"):
+    if mode == "second":
         vals = f.derivative(2)(xs)
         i = int(np.argmin(vals))
         if vals[i] < 0:
@@ -74,11 +70,12 @@ def oracle_convex(f, grid, weights=None, mode: str = "auto") -> OracleResult:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def oracle_monotone(f: Poly, grid, direction: str = "increasing") -> OracleResult:
-    """Sign check of f' at every grid point for the requested direction."""
+def oracle_monotone(f: Poly, points, direction: str = "increasing") -> OracleResult:
+    """Sign check of f' at every point of the array ``points`` for the
+    requested direction."""
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
-    xs = _grid_points(grid).reshape(-1)
+    xs = np.asarray(points, dtype=float).reshape(-1)
     d1 = f.derivative()(xs)
     if direction == "increasing":
         bad = np.where(d1 < 0)[0]

@@ -11,7 +11,7 @@ threshold come back Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "build_multivariate_M",
 ]
 
-_COORD_TOL = 1e-12
 _HALF = 0.5
 
 # stable per-call-site noise salts (report determinism)
@@ -216,36 +215,45 @@ def _applied_prep(e: BlockEnc, state: np.ndarray, extra_ledger: ResourceLedger) 
 
 
 # --------------------------------------------------------------------------
-# the threshold pipeline shared by the second-derivative, first-derivative
-# and monotonicity tests
+# the decision shared by all four tests, and the threshold pipeline shared
+# by the second-derivative, first-derivative and monotonicity tests
 
-# (below the band, above it) for the two convexity tests
+# (below the band, above it) for the three convexity tests
 _CONVEXITY = (Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)
 
 
-def _threshold_test(shifted: BlockEnc, threshold: float, outcomes: tuple[str, str], witness_fn,
-                    bound_name: str, bound: float, cfg: EstimatorConfig, salt: int) -> Verdict:
-    """Estimate the largest eigenvalue of ``shifted`` and compare it with
-    ``threshold`` under a 2*eps band: below the band is ``outcomes[0]``,
-    above it ``outcomes[1]`` with the witness ``witness_fn()``, and inside
-    it Inconclusive."""
-    est = largest_eigenvalue(shifted, cfg, salt=salt)
-    band = 2.0 * cfg.eps
+def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_fn,
+             estimates: dict, ledger: ResourceLedger, eps: float, gap_flag: bool = False) -> Verdict:
+    """Compare an estimated ``value`` with ``threshold`` under a 2*eps band:
+    below the band is ``outcomes[0]``, above it ``outcomes[1]`` with the
+    witness ``witness_fn()``, and inside it Inconclusive.  The margin is the
+    distance from the band's edge."""
+    band = 2.0 * eps
     below, above = outcomes
-    if est.value < threshold - band:
+    if value < threshold - band:
         outcome = below
-    elif est.value > threshold + band:
+    elif value > threshold + band:
         outcome = above
     else:
         outcome = Outcome.INCONCLUSIVE
     return Verdict(
         outcome=outcome,
-        estimates={"lambda_max": est.value, "threshold": threshold, bound_name: bound},
-        margin=abs(est.value - threshold) - band,
-        ledger=est.ledger,
+        estimates=estimates,
+        margin=abs(value - threshold) - band,
+        ledger=ledger,
         witness=witness_fn() if outcome == above else None,
-        gap_flag=est.gap_flag,
+        gap_flag=gap_flag,
     )
+
+
+def _threshold_test(shifted: BlockEnc, threshold: float, outcomes: tuple[str, str], witness_fn,
+                    bound_name: str, bound: float, cfg: EstimatorConfig, salt: int) -> Verdict:
+    """Estimate the largest eigenvalue of ``shifted`` and decide it against
+    ``threshold`` with :func:`_verdict`."""
+    est = largest_eigenvalue(shifted, cfg, salt=salt)
+    estimates = {"lambda_max": est.value, "threshold": threshold, bound_name: bound}
+    return _verdict(est.value, threshold, outcomes, witness_fn, estimates, est.ledger,
+                    cfg.eps, est.gap_flag)
 
 
 # --------------------------------------------------------------------------
@@ -396,13 +404,11 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
 # Jensen tests
 
 
-def build_multivariate_M(
-    f: MultiPoly,
-    axis_encodings,
-    value_scale: float = 1.0,
-    max_exponent: int = 12,
-    max_terms: int = 64,
-) -> tuple[BlockEnc, float]:
+_MAX_EXPONENT = 12
+_MAX_TERMS = 64
+
+
+def build_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0) -> tuple[BlockEnc, float]:
     """Diagonal encoding with entries f(x_j) / correction from per-axis
     diagonal encodings, via per-axis power transforms, cross-axis products,
     coefficient insertion, and a final linear combination.
@@ -416,10 +422,10 @@ def build_multivariate_M(
     axis_encodings = list(axis_encodings)
     if len(axis_encodings) != f.dim:
         raise ValueError("one axis encoding per variable required")
-    if f.max_exponent > max_exponent:
-        raise ValueError(f"monomial degree {f.max_exponent} exceeds cap {max_exponent}")
-    if f.term_count > max_terms:
-        raise ValueError(f"term count {f.term_count} exceeds cap {max_terms}")
+    if f.max_exponent > _MAX_EXPONENT:
+        raise ValueError(f"monomial degree {f.max_exponent} exceeds cap {_MAX_EXPONENT}")
+    if f.term_count > _MAX_TERMS:
+        raise ValueError(f"term count {f.term_count} exceeds cap {_MAX_TERMS}")
     n = axis_encodings[0].dim
     for e in axis_encodings:
         if e.dim != n:
@@ -466,66 +472,42 @@ def _jensen_center(grid: Grid, w: WeightVector) -> np.ndarray:
     return center
 
 
-def _jensen_estimates_univariate(f: Poly, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
-    xs = grid.x
-    lam = w.lambdas
-    sqrt_lam = be.encode_state(np.sqrt(lam))
-    grid_enc = encode_grid_values(xs)
+def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
+    """Both sides of Jensen's inequality, each from an overlap gadget.
 
-    # LHS: overlap gadget encodes (sum_i lambda_i x_i)/4; transforming with
-    # f(4t)/s evaluates f at the true weighted point
-    phi1 = _applied_prep(grid_enc, sqrt_lam.state, sqrt_lam.ledger)
+    The gadget over an encoding E and |sqrt(lambda)> encodes
+    (sum_i lambda_i E_ii)/4.  The left side encodes f at the gadgets of the
+    axis encodings, which hold centre_j/4; the right side is the gadget of
+    an encoding of f at the grid.
+    """
+    sqrt_lam = be.encode_state(np.sqrt(w.lambdas))
     phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-    gadget_lhs = overlap_gadget(phi1, phi2)
-    f4 = f.compose_affine(0.0, 4.0)
-    s_lhs = max(1.0, 2.0 * certified_sup(f4))
-    lhs_enc = transform(gadget_lhs, f4.scaled(s_lhs))
-    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=_SALT_JENSEN_LHS, eps=cfg.eps / s_lhs)
-    lhs = a_lhs.value * s_lhs
 
-    # RHS: gadget over M|sqrt(lambda)> gives (sum_i lambda_i f(x_i))/(4 s_M)
-    bounds = Bounds.from_poly(f)
-    m_enc = transform(grid_enc, f.scaled(bounds.f_sup))
-    phi1r = _applied_prep(m_enc, sqrt_lam.state, sqrt_lam.ledger)
-    gadget_rhs = overlap_gadget(phi1r, phi2)
-    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=_SALT_JENSEN_RHS,
-                               eps=cfg.eps / (4.0 * bounds.f_sup))
-    rhs = a_rhs.value * 4.0 * bounds.f_sup
+    def gadget(enc: BlockEnc) -> BlockEnc:
+        return overlap_gadget(_applied_prep(enc, sqrt_lam.state, sqrt_lam.ledger), phi2)
 
+    axes = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
+    if isinstance(f, MultiPoly):
+        m_enc, f_scale = build_multivariate_M(f, axes)
+        lhs_enc, lhs_scale = build_multivariate_M(f, [gadget(e) for e in axes], value_scale=0.25)
+    else:
+        f_scale = Bounds.from_poly(f).f_sup
+        m_enc = transform(axes[0], f.scaled(f_scale))
+        # transforming the gadget with f(4t)/s evaluates f at the centre
+        f4 = f.compose_affine(0.0, 4.0)
+        lhs_scale = max(1.0, 2.0 * certified_sup(f4))
+        lhs_enc = transform(gadget(axes[0]), f4.scaled(lhs_scale))
+    rhs_scale = 4.0 * f_scale
+    a_lhs = amplitude_estimate(lhs_enc, cfg, eps=cfg.eps / lhs_scale, salt=_SALT_JENSEN_LHS)
+    a_rhs = amplitude_estimate(gadget(m_enc), cfg, eps=cfg.eps / rhs_scale, salt=_SALT_JENSEN_RHS)
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
-    scales = {"lhs_scale": s_lhs, "rhs_scale": 4.0 * bounds.f_sup, "gadget_factor": 0.25}
-    return lhs, rhs, ledger, scales
-
-
-def _jensen_estimates_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
-    lam = w.lambdas
-    sqrt_lam = be.encode_state(np.sqrt(lam))
-    axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
-
-    big_m, corr_rhs = build_multivariate_M(f, axis_encs)
-    phi1r = _applied_prep(big_m, sqrt_lam.state, sqrt_lam.ledger)
-    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-    gadget_rhs = overlap_gadget(phi1r, phi2)
-    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=_SALT_JENSEN_RHS,
-                               eps=cfg.eps / (4.0 * corr_rhs))
-    rhs = a_rhs.value * 4.0 * corr_rhs
-
-    gadgets = []
-    for j in range(grid.dim):
-        phi1j = _applied_prep(axis_encs[j], sqrt_lam.state, sqrt_lam.ledger)
-        gadgets.append(overlap_gadget(phi1j, phi2))
-    lhs_enc, corr_lhs = build_multivariate_M(f, gadgets, value_scale=0.25)
-    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=_SALT_JENSEN_LHS, eps=cfg.eps / corr_lhs)
-    lhs = a_lhs.value * corr_lhs
-
-    ledger = a_lhs.ledger.merged(a_rhs.ledger)
-    scales = {"lhs_scale": corr_lhs, "rhs_scale": 4.0 * corr_rhs, "gadget_factor": 0.25}
-    return lhs, rhs, ledger, scales
+    scales = {"lhs_scale": lhs_scale, "rhs_scale": rhs_scale, "gadget_factor": 0.25}
+    return a_lhs.value * lhs_scale, a_rhs.value * rhs_scale, ledger, scales
 
 
 def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig) -> Verdict:
     """Estimate both sides of Jensen's inequality at the weighted grid points
-    and compare with a 2*eps margin.
+    and decide them with :func:`_verdict`.
 
     A violation is a certificate of non-convexity; consistency is reported
     as convexity evidence for this weight/grid collection only (the
@@ -536,37 +518,19 @@ def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig) -> 
             w = w.padded(grid.n)
         else:
             raise ValueError("weight count must match grid size")
-    _jensen_center(grid, w)
+    center = _jensen_center(grid, w)
     if isinstance(f, MultiPoly):
         if f.dim != grid.dim:
             raise ValueError("polynomial dimension must match the grid")
-        lhs, rhs, ledger, scales = _jensen_estimates_multivariate(f, grid, w, cfg)
-    else:
-        if grid.dim != 1:
-            raise ValueError("univariate Jensen test requires a univariate grid")
-        lhs, rhs, ledger, scales = _jensen_estimates_univariate(f, grid, w, cfg)
-    band = 2.0 * cfg.eps
-    if lhs > rhs + band:
-        outcome = Outcome.NOT_CONVEX
-        witness = {
-            "center": [float(v) for v in np.atleast_1d(w.lambdas @ grid.points)],
-            "lambdas": [float(v) for v in w.lambdas],
-        }
-    elif lhs < rhs - band:
-        outcome = Outcome.CONVEX_ON_GRID
-        witness = None
-    else:
-        outcome = Outcome.INCONCLUSIVE
-        witness = None
-    estimates = {"jensen_lhs": lhs, "jensen_rhs": rhs}
-    estimates.update(scales)
-    return Verdict(
-        outcome=outcome,
-        estimates=estimates,
-        margin=abs(lhs - rhs) - band,
-        ledger=ledger,
-        witness=witness,
-    )
+    elif grid.dim != 1:
+        raise ValueError("univariate Jensen test requires a univariate grid")
+    lhs, rhs, ledger, scales = _jensen_estimates(f, grid, w, cfg)
+
+    def violated_at():
+        return {"center": [float(v) for v in center], "lambdas": [float(v) for v in w.lambdas]}
+
+    return _verdict(lhs, rhs, _CONVEXITY, violated_at,
+                    {"jensen_lhs": lhs, "jensen_rhs": rhs, **scales}, ledger, cfg.eps)
 
 
 # library entry points, not pytest cases

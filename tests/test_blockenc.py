@@ -109,7 +109,7 @@ def test_lcu_signs_and_prefactor():
 
 def test_lcu_requires_equal_alphas():
     with pytest.raises(ValueError):
-        be.lcu([diag_enc([0.5, 0.5]), diag_enc([0.5, 0.5], alpha=2.0)])
+        be.lcu([diag_enc([0.5, 0.5]), diag_enc([0.5, 0.5], alpha=2.0)], [1, 1])
 
 
 def test_scale_down():
@@ -125,7 +125,7 @@ def test_amplify_boosts_and_counts_uses():
     e = diag_enc([0.3, -0.2])
     a = be.amplify(e, 2.0)
     np.testing.assert_allclose(a.data, [0.6, -0.4])
-    m = be.amplification_uses(2.0, 0.25, 1e-6)
+    m = be.amplification_uses(2.0)
     assert a.ledger.count("amplification-uses") == m
     assert m == math.ceil((2.0 / 0.25) * math.log(2.0 / 1e-6))
 

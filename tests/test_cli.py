@@ -10,6 +10,7 @@ from test_poly import _reference_call, _reference_compose_affine, _reference_der
 
 import qshape.poly
 from qshape.cli import build_parser, main, run
+from qshape.tester import Grid
 
 CUBIC = {
     "schema": 1,
@@ -93,6 +94,19 @@ def test_bad_schema_is_exit_1(tmp_path, capsys):
         assert main(["test", "--input", write(tmp_path, prob)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [(), ("--n", str(1 << 40))], ids=["file", "flag"])
+def test_grid_too_large_to_allocate_is_exit_1(tmp_path, capsys, monkeypatch, extra):
+    # the failed allocation is simulated: a host that overcommits memory
+    # may grant a real 8 TiB request
+    def too_large(n, dim=1, seed=0):
+        raise MemoryError(f"Unable to allocate a grid of {n} points")
+
+    monkeypatch.setattr(Grid, "uniform", staticmethod(too_large))
+    code, rep = run_cli(tmp_path, dict(CUBIC, grid={"kind": "uniform", "n": 1 << 40}), *extra)
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err == f"error: Unable to allocate a grid of {1 << 40} points\n"
 
 
 NONFINITE_FIELDS = {

@@ -144,7 +144,7 @@ def test_overlap_gadget_dimension_mismatch():
 def test_amplitude_estimate_reads_first_entry():
     cfg = EstimatorConfig(eps=0.01)
     e = diag_enc([0.3, 0.1])
-    a = amplitude_estimate(e, cfg)
+    a = amplitude_estimate(e, cfg, eps=cfg.eps)
     assert a.value == pytest.approx(0.3)
     assert a.ledger.count("amplitude-estimation-queries") == 100
 

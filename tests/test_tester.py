@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
-from qshape.blockenc import BlockEnc, ResourceLedger
-from qshape.estimate import EstimatorConfig
+from qshape.blockenc import BlockEnc, ResourceLedger, StatePrep
+from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
 from qshape.oracle import oracle_convex, oracle_monotone
-from qshape.poly import Bounds, MultiPoly, Poly, remap_domain
+from qshape.poly import Bounds, MultiPoly, Poly, certified_sup, remap_domain
 from qshape.qsvt import transform
 from qshape.tester import (
     Grid,
@@ -22,7 +22,10 @@ from qshape.tester import (
     test_convex_jensen,
     test_convex_second_derivative,
     test_monotone,
+    _applied_prep,
+    _jensen_estimates,
     _mask_complement,
+    _next_pow2,
 )
 
 CFG = EstimatorConfig(eps=0.01, seed=0, noise_mode="exact")
@@ -118,28 +121,72 @@ def test_second_derivative_degenerate():
 
 
 def _threshold_verdicts(f, grid, cfg):
-    """(eps the estimate was made at, verdict) for the three threshold tests."""
-    yield cfg.eps, test_convex_second_derivative(f, grid, cfg)
-    yield cfg.eps / (2.0 * math.sqrt(grid.n)), test_convex_first_derivative(f, grid, cfg)
-    yield cfg.eps, test_monotone(f, grid, "increasing", cfg)
-    yield cfg.eps, test_monotone(f, grid, "decreasing", cfg)
+    """(eps the estimate was made at, estimate, threshold, verdict) for the
+    three threshold tests."""
+    for eps, v in ((cfg.eps, test_convex_second_derivative(f, grid, cfg)),
+                   (cfg.eps / (2.0 * math.sqrt(grid.n)), test_convex_first_derivative(f, grid, cfg)),
+                   (cfg.eps, test_monotone(f, grid, "increasing", cfg)),
+                   (cfg.eps, test_monotone(f, grid, "decreasing", cfg))):
+        yield eps, v.estimates["lambda_max"], v.estimates["threshold"], v
+
+
+def _jensen_verdict(f, grid, w, cfg):
+    """The same for the Jensen test, whose estimate is the left side and
+    whose threshold is the right side."""
+    v = test_convex_jensen(f, grid, w, cfg)
+    return cfg.eps, v.estimates["jensen_lhs"], v.estimates["jensen_rhs"], v
+
+
+_BAND_POLYS = ([0, 0, 0, 0, 1.0], [0, 0, 0, 1.0], [0.1, 0.5, 0.2], [0, 0, -1.0])
+_BAND_MULTIPOLYS = (
+    MultiPoly(((0.5, (2, 0)), (0.5, (0, 2))), 2),  # convex
+    MultiPoly(((-0.5, (2, 0)), (-0.5, (0, 2))), 2),  # concave
+    MultiPoly(((0.3, (1, 0)), (-0.2, (0, 1)), (0.1, (0, 0))), 2),  # affine: both sides agree
+    MultiPoly(((1.0, (1, 1, 0)), (0.2, (0, 0, 3))), 3),
+)
+
+
+def _band_cases(cfg):
+    """(eps, estimate, threshold, verdict, grid, padded weights or None)
+    for every test: the threshold tests on univariate polynomials, Jensen
+    on the same polynomials and on multivariate ones."""
+    rng = np.random.default_rng(41)
+    for coeffs in _BAND_POLYS:
+        f, grid = Poly(coeffs), Grid.uniform(8)
+        for case in _threshold_verdicts(f, grid, cfg):
+            yield (*case, grid, None)
+        for w in (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8))):
+            yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
+        padded = Grid.from_points([-0.45, -0.3, 0.05, 0.2, 0.4], pad_to_pow2=True)
+        w = WeightVector.normalized(rng.uniform(0.1, 1.0, 5))
+        yield (*_jensen_verdict(f, padded, w, cfg), padded, w.padded(8))
+    for f in _BAND_MULTIPOLYS:
+        grid = Grid.uniform(8, dim=f.dim, seed=5)
+        for w in (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8))):
+            yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
 
 
 def test_threshold_band_margin_and_witness():
     # Inconclusive exactly inside the 2*eps band, margin measured from its
-    # edge, and a witness on every negative verdict and on no other
+    # edge, and a witness on every negative verdict and on no other; the
+    # Jensen witness's centre is the weighted grid point
     cfg = EstimatorConfig(eps=0.01)
-    outcomes = set()
-    for coeffs in ([0, 0, 0, 0, 1.0], [0, 0, 0, 1.0], [0.1, 0.5, 0.2], [0, 0, -1.0]):
-        for eps, v in _threshold_verdicts(Poly(coeffs), Grid.uniform(8), cfg):
-            distance = abs(v.estimates["lambda_max"] - v.estimates["threshold"])
-            assert v.margin == distance - 2.0 * eps
-            assert (v.outcome == Outcome.INCONCLUSIVE) == (distance <= 2.0 * eps)
-            negative = v.outcome in (Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE)
-            assert (v.witness is not None) == negative
-            outcomes.add(v.outcome)
+    outcomes, jensen_outcomes = set(), set()
+    for eps, value, threshold, v, grid, w in _band_cases(cfg):
+        distance = abs(value - threshold)
+        assert v.margin == distance - 2.0 * eps
+        assert (v.outcome == Outcome.INCONCLUSIVE) == (distance <= 2.0 * eps)
+        negative = v.outcome in (Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE)
+        assert (v.witness is not None) == negative
+        outcomes.add(v.outcome)
+        if w is not None:
+            jensen_outcomes.add(v.outcome)
+            if negative:
+                assert v.witness["center"] == [float(c) for c in w.lambdas @ grid.points]
+                assert v.witness["lambdas"] == [float(c) for c in w.lambdas]
     assert {Outcome.INCONCLUSIVE, Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE,
             Outcome.CONVEX_ON_GRID, Outcome.MONOTONE_INCREASING} <= outcomes
+    assert jensen_outcomes == {Outcome.INCONCLUSIVE, Outcome.NOT_CONVEX, Outcome.CONVEX_ON_GRID}
 
 
 def test_threshold_identity():
@@ -329,6 +376,98 @@ def test_jensen_weight_padding():
                            weights=WeightVector.uniform(3).lambdas)
     assert v.estimates["jensen_lhs"] == pytest.approx(oracle.details["lhs"], abs=1e-10)
     assert v.estimates["jensen_rhs"] == pytest.approx(oracle.details["rhs"], abs=1e-10)
+
+
+# The two Jensen estimators as they were before they became one, kept as
+# the reference that _jensen_estimates must reproduce bit for bit.
+
+
+def _reference_jensen_univariate(f: Poly, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
+    xs = grid.x
+    lam = w.lambdas
+    sqrt_lam = be.encode_state(np.sqrt(lam))
+    grid_enc = encode_grid_values(xs)
+
+    phi1 = _applied_prep(grid_enc, sqrt_lam.state, sqrt_lam.ledger)
+    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
+    gadget_lhs = overlap_gadget(phi1, phi2)
+    f4 = f.compose_affine(0.0, 4.0)
+    s_lhs = max(1.0, 2.0 * certified_sup(f4))
+    lhs_enc = transform(gadget_lhs, f4.scaled(s_lhs))
+    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=21, eps=cfg.eps / s_lhs)
+    lhs = a_lhs.value * s_lhs
+
+    bounds = Bounds.from_poly(f)
+    m_enc = transform(grid_enc, f.scaled(bounds.f_sup))
+    phi1r = _applied_prep(m_enc, sqrt_lam.state, sqrt_lam.ledger)
+    gadget_rhs = overlap_gadget(phi1r, phi2)
+    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * bounds.f_sup))
+    rhs = a_rhs.value * 4.0 * bounds.f_sup
+
+    ledger = a_lhs.ledger.merged(a_rhs.ledger)
+    scales = {"lhs_scale": s_lhs, "rhs_scale": 4.0 * bounds.f_sup, "gadget_factor": 0.25}
+    return lhs, rhs, ledger, scales
+
+
+def _reference_jensen_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
+    lam = w.lambdas
+    sqrt_lam = be.encode_state(np.sqrt(lam))
+    axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
+
+    big_m, corr_rhs = build_multivariate_M(f, axis_encs)
+    phi1r = _applied_prep(big_m, sqrt_lam.state, sqrt_lam.ledger)
+    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
+    gadget_rhs = overlap_gadget(phi1r, phi2)
+    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * corr_rhs))
+    rhs = a_rhs.value * 4.0 * corr_rhs
+
+    gadgets = []
+    for j in range(grid.dim):
+        phi1j = _applied_prep(axis_encs[j], sqrt_lam.state, sqrt_lam.ledger)
+        gadgets.append(overlap_gadget(phi1j, phi2))
+    lhs_enc, corr_lhs = build_multivariate_M(f, gadgets, value_scale=0.25)
+    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=21, eps=cfg.eps / corr_lhs)
+    lhs = a_lhs.value * corr_lhs
+
+    ledger = a_lhs.ledger.merged(a_rhs.ledger)
+    scales = {"lhs_scale": corr_lhs, "rhs_scale": 4.0 * corr_rhs, "gadget_factor": 0.25}
+    return lhs, rhs, ledger, scales
+
+
+def _jensen_problems():
+    """Random univariate and 2-3 axis multivariate problems, on uniform and
+    padded explicit grids, with padded weights, in both noise modes."""
+    rng = np.random.default_rng(1806)
+    for i in range(60):
+        multi = i % 2 == 1
+        dim = int(rng.integers(2, 4)) if multi else 1
+        if multi:
+            terms = [(float(rng.normal()), tuple(int(k) for k in rng.integers(0, 4, size=dim)))
+                     for _ in range(int(rng.integers(1, 7)))]
+            f = MultiPoly(terms, dim)
+        else:
+            f = Poly(rng.normal(size=int(rng.integers(1, 9))))
+        m = int(rng.integers(2, 17))
+        if i % 3 == 0:
+            grid = Grid.uniform(_next_pow2(m), dim=dim, seed=i)
+        else:
+            pts = rng.uniform(-0.5, 0.5, size=(m, dim))
+            grid = Grid.from_points(np.sort(pts, axis=0) if dim == 1 else pts, pad_to_pow2=True)
+        w = WeightVector.normalized(rng.uniform(0.05, 1.0, grid.n_original)).padded(grid.n)
+        cfg = EstimatorConfig(eps=float(10 ** rng.uniform(-4, -1)), seed=i,
+                              noise_mode=("exact", "uniform")[i % 4 // 2])
+        yield f"{'multi' if multi else 'uni'}-{i}", f, grid, w, cfg
+
+
+@pytest.mark.parametrize("f, grid, w, cfg", [c[1:] for c in _jensen_problems()],
+                         ids=[c[0] for c in _jensen_problems()])
+def test_jensen_estimates_match_reference(f, grid, w, cfg):
+    reference = _reference_jensen_multivariate if isinstance(f, MultiPoly) else _reference_jensen_univariate
+    lhs, rhs, ledger, scales = _jensen_estimates(f, grid, w, cfg)
+    ref_lhs, ref_rhs, ref_ledger, ref_scales = reference(f, grid, w, cfg)
+    assert (lhs.hex(), rhs.hex()) == (ref_lhs.hex(), ref_rhs.hex())
+    assert ledger == ref_ledger
+    assert {k: v.hex() for k, v in scales.items()} == {k: v.hex() for k, v in ref_scales.items()}
 
 
 def test_jensen_estimates_match_oracle_exactly():
