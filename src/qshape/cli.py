@@ -15,11 +15,10 @@ import numpy as np
 
 from .estimate import EstimatorConfig
 from .oracle import oracle_convex, oracle_monotone
-from .poly import MultiPoly, Poly, poly_from_json, remap_domain
+from .poly import MultiPoly, poly_from_json, remap_domain
 from .tester import (
     Grid,
     Outcome,
-    Verdict,
     WeightVector,
     test_convex_first_derivative,
     test_convex_jensen,
@@ -66,13 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
-    env = os.environ.get("QSHAPE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"QSHAPE_SEED is not an integer: {env!r}") from exc
-    return 0
+    env = os.environ.get("QSHAPE_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputError(f"QSHAPE_SEED is not an integer: {env!r}") from exc
 
 
 def _load_problem(path: str) -> dict:
@@ -101,13 +98,6 @@ def _finite_array(raw, what: str) -> np.ndarray:
     return arr
 
 
-def _parse_poly(obj) -> Poly | MultiPoly:
-    try:
-        return poly_from_json(obj)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad polynomial: {exc}") from exc
-
-
 def _domains(obj: dict, dim: int) -> list[tuple[float, float]]:
     raw = obj.get("domain", [[-0.5, 0.5]] * dim)
     if not isinstance(raw, list) or len(raw) != dim:
@@ -121,23 +111,21 @@ def _domains(obj: dict, dim: int) -> list[tuple[float, float]]:
     return out
 
 
-def _to_working(points: np.ndarray, domains) -> np.ndarray:
-    out = np.empty_like(points)
-    for j, (a, b) in enumerate(domains):
-        c, w = (a + b) / 2.0, b - a
-        out[:, j] = (points[:, j] - c) / w
-    return out
+def _box(domains, multi: bool):
+    """Each axis's centre and width, in Python floats as the remap computes
+    them: numbers for a univariate polynomial, arrays for a ``"multi"`` one."""
+    centre = np.array([(a + b) / 2.0 for a, b in domains])
+    width = np.array([b - a for a, b in domains])
+    return (centre, width) if multi else (centre[0], width[0])
 
 
-def _to_user(t, domains):
-    a, b = domains[0]
-    c, w = (a + b) / 2.0, b - a
-    if isinstance(t, tuple):
-        return tuple(c + w * v for v in t)
-    return c + w * t
+def _to_user(t, box):
+    """A point, or a sequence of univariate points, in user coordinates."""
+    centre, width = box
+    return (centre + width * np.asarray(t)).tolist()
 
 
-def _build_grid(obj: dict, dim: int, domains, n_flag, seed: int) -> Grid:
+def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
     if not isinstance(spec, dict):
         raise InputError("'grid' must be an object with a 'kind' field")
@@ -161,7 +149,8 @@ def _build_grid(obj: dict, dim: int, domains, n_flag, seed: int) -> Grid:
             raise InputError(f"explicit points have dim {pts.shape[1]}, expected {dim}")
         if n_flag is not None:
             _warn("--n is ignored for explicit grids")
-        working = _to_working(pts, domains)
+        centre, width = box
+        working = (pts - centre) / width
         if np.max(np.abs(working)) > 0.5 + 1e-9:
             raise InputError("explicit points fall outside the declared domain")
         m = pts.shape[0]
@@ -185,120 +174,77 @@ def _weights(obj: dict, grid: Grid) -> WeightVector:
     return w.padded(grid.n)
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return _jsonable(v.tolist())
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return v
-
-
-def _center_to_user(center, domains):
-    """A Jensen centre in user coordinates: a list with one entry per axis,
-    or a bare number when the centre is one."""
-    if np.ndim(center) == 0:
-        return _to_user(float(center), domains)
-    return [_to_user(float(v), [domains[j]]) for j, v in enumerate(center)]
-
-
-def _map_witness(witness, domains):
+def _witness_to_user(witness, box, method: str):
     if witness is None:
         return None
-    if isinstance(witness, dict):
-        out = dict(witness)
-        if "center" in out:
-            out["center"] = _center_to_user(out["center"], domains)
-        return _jsonable(out)
-    return _jsonable(_to_user(witness, domains))
-
-
-def _map_oracle_witness(method: str, witness, domains):
-    if method != "jensen" or witness is None:
-        return _map_witness(witness, domains)
-    # (center, lhs, rhs): only the centre is a point; lhs and rhs are values
-    center, lhs, rhs = witness
-    return _jsonable([_center_to_user(center, domains), lhs, rhs])
-
-
-def _oracle_for(method: str, f, grid: Grid, w: WeightVector, direction: str):
-    pts = grid.original_points
-    if method == "second-deriv":
-        return oracle_convex(f, pts, mode="second")
-    if method == "first-deriv":
-        return oracle_convex(f, pts, mode="first")
-    if method == "jensen":
-        return oracle_convex(f, pts, weights=w.lambdas[: grid.n_original])
-    if method == "monotone":
-        return oracle_monotone(f, pts, direction)
-    raise ValueError(method)
+    if method != "jensen":
+        return _to_user(witness, box)
+    # a Jensen witness holds values beside its centre, the one point in it
+    if isinstance(witness, dict):  # the verdict's {"center", "lambdas"}
+        return dict(witness, center=_to_user(witness["center"], box))
+    return [_to_user(witness[0], box), *witness[1:]]  # the oracle's (center, lhs, rhs)
 
 
 def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfig,
-                direction: str, domains, oracle_check: bool) -> dict:
+                direction: str, box, oracle_check: bool) -> dict:
+    pts = grid.original_points
     if method == "second-deriv":
         verdict = test_convex_second_derivative(f, grid, cfg)
+        oracle = lambda: oracle_convex(f, pts, mode="second")
     elif method == "first-deriv":
         verdict = test_convex_first_derivative(f, grid, cfg)
+        oracle = lambda: oracle_convex(f, pts, mode="first")
     elif method == "jensen":
         verdict = test_convex_jensen(f, grid, w, cfg)
-    elif method == "monotone":
-        verdict = test_monotone(f, grid, direction, cfg)
+        oracle = lambda: oracle_convex(f, pts, weights=w.lambdas[: grid.n_original])
     else:
-        raise ValueError(method)
+        verdict = test_monotone(f, grid, direction, cfg)
+        oracle = lambda: oracle_monotone(f, pts, direction)
     report = {
         "schema": 1,
         "method": method,
         "outcome": verdict.outcome,
-        "witness": _map_witness(verdict.witness, domains),
-        "estimates": _jsonable(verdict.estimates),
-        "margin": float(verdict.margin),
-        "gap_flag": bool(verdict.gap_flag),
+        "witness": _witness_to_user(verdict.witness, box, method),
+        "estimates": verdict.estimates,
+        "margin": verdict.margin,
+        "gap_flag": verdict.gap_flag,
         "grid_semantics": verdict.grid_semantics,
-        "ledger": ledger_report(verdict, grid.n),
+        # with the grid size, so scaling plots can come from a batch of reports
+        "ledger": dict(verdict.ledger.as_dict(), n=grid.n),
         "oracle": None,
         "agreement": None,
     }
     if verdict.reason is not None:
         report["reason"] = verdict.reason
     if oracle_check:
-        res = _oracle_for(method, f, grid, w, direction)
+        res = oracle()
         report["oracle"] = {
             "verdict": res.verdict,
-            "witness": _map_oracle_witness(method, res.witness, domains),
-            "details": _jsonable(res.details),
+            "witness": _witness_to_user(res.witness, box, method),
+            "details": res.details,
         }
         if verdict.outcome != Outcome.INCONCLUSIVE:
             report["agreement"] = res.verdict in _AGREES[verdict.outcome]
     return report
 
 
-def ledger_report(verdict: Verdict, n: int) -> dict:
-    """Per-primitive query counts plus depth units and the grid size, so
-    scaling plots can be derived from a batch of reports."""
-    frag = verdict.ledger.as_dict()
-    frag["n"] = n
-    return frag
-
-
 def run(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
         problem = _load_problem(args.input)
-        f_raw = _parse_poly(problem.get("poly"))
+        try:
+            f_raw = poly_from_json(problem.get("poly"))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad polynomial: {exc}") from exc
         multi = isinstance(f_raw, MultiPoly)
         dim = f_raw.dim if multi else 1
         domains = _domains(problem, dim)
+        box = _box(domains, multi)
         if multi:
             f = f_raw.remap(domains)
         else:
             f, _scale = remap_domain(f_raw, *domains[0])
-        grid = _build_grid(problem, dim, domains, args.n, seed)
+        grid = _build_grid(problem, dim, box, args.n, seed)
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
             raise InputError("--eps must be positive and finite")
@@ -312,10 +258,17 @@ def run(args) -> int:
         if multi and any(m != "jensen" for m in methods):
             raise InputError("only the jensen method supports multivariate polynomials")
 
-        results = [
-            _run_method(m, f, grid, w, cfg, direction, domains, args.oracle_check == "on")
-            for m in methods
-        ]
+        results, errors = [], []
+        for m in methods:
+            try:
+                results.append(_run_method(m, f, grid, w, cfg, direction, box,
+                                           args.oracle_check == "on"))
+            except ValueError as exc:
+                if args.method != "all":
+                    raise
+                # under all, a method's error is its entry and the others still run
+                results.append({"schema": 1, "method": m, "error": str(exc)})
+                errors.append(f"{m}: {exc}")
     except (InputError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -327,6 +280,9 @@ def run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if errors:
+        print(f"error: {'; '.join(errors)}", file=sys.stderr)
+        return 1
     if any(r["outcome"] == Outcome.INCONCLUSIVE for r in results):
         return 2
     return 0
@@ -337,8 +293,7 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    return run(args)
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

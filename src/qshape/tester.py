@@ -201,7 +201,8 @@ def encode_grid_values(values: np.ndarray) -> BlockEnc:
     v = np.asarray(values, dtype=float)
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
-        raise ValueError("cannot encode an all-zero value vector")
+        raise ValueError("cannot encode a grid whose points all sit at the centre of the "
+                         "domain along an axis")
     prep = be.encode_state(v / nrm)
     diag = be.diag_from_state(prep)
     return be.normalize_subnormalization(diag, nrm)
@@ -349,6 +350,8 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     threshold 1/(2 sqrt(n))."""
     if f.degree < 1:
         raise ValueError("first-derivative test requires degree >= 1")
+    if grid.n_original < 2:
+        raise ValueError("first-derivative test needs at least two grid points")
     bounds = Bounds.from_poly(f)
     m3 = build_M3(f, grid, bounds)
     n = grid.n

@@ -9,7 +9,7 @@ import pytest
 from test_poly import _reference_call, _reference_compose_affine, _reference_derivative
 
 import qshape.poly
-from qshape.cli import build_parser, main, run
+from qshape.cli import _box, _build_grid, _witness_to_user, build_parser, main, run
 from qshape.tester import Grid
 
 CUBIC = {
@@ -63,12 +63,89 @@ def test_method_all(tmp_path):
 
 
 def test_witness_in_user_coordinates(tmp_path):
-    prob = dict(CUBIC, poly={"kind": "uni", "coeffs": [0.0, 0.0, 0.0, 1.0]},
-                domain=[[-2.0, 2.0]])
-    code, rep = run_cli(tmp_path, prob, "--method", "second-deriv", "--eps", "0.001")
-    assert code == 0
-    assert rep["outcome"] == "NotConvex"
-    assert -2.0 <= rep["witness"] < 0.0  # user coordinates, not [-1/2, 1/2]
+    # -(x - 2)^3 on [2, 4], a box apart from [-1/2, 1/2]: concave and falling,
+    # so every test finds a violation
+    prob = dict(CUBIC, poly={"kind": "uni", "coeffs": [8.0, -12.0, 6.0, -1.0]},
+                domain=[[2.0, 4.0]])
+    for method in ("second-deriv", "first-deriv", "jensen", "monotone"):
+        code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", "0.001")
+        assert code == 0
+        assert rep["outcome"] in ("NotConvex", "NotMonotone") and rep["agreement"] is True
+        witness, oracle_witness = rep["witness"], rep["oracle"]["witness"]
+        if method == "jensen":
+            points = witness["center"] + [oracle_witness[0]]
+        else:
+            # the same grid point (or pair) as the oracle's, mapped by the same map
+            assert witness == oracle_witness
+            points = witness if method == "first-deriv" else [witness]
+        assert points and all(2.0 <= x <= 4.0 for x in points)
+
+
+ALL_UNIVARIATE = ["second-deriv", "first-deriv", "jensen", "monotone"]
+
+# problems on which some methods raise and the others run
+FAILING_METHODS = {
+    "repeated-point": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0, 0, 1]},
+                        "grid": {"kind": "explicit", "points": [-0.4, -0.1, -0.1, 0.3]}},
+                       ["first-deriv"]),
+    "constant": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
+                  "grid": {"kind": "uniform", "n": 8}},
+                 ["first-deriv", "monotone"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_METHODS))
+def test_method_all_reports_each_error_and_keeps_the_rest(tmp_path, capsys, case):
+    prob, failing = FAILING_METHODS[case]
+    code, rep = run_cli(tmp_path, prob, "--method", "all", "--seed", "7", "--noise", "uniform")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    results = rep["results"]
+    assert [r["method"] for r in results] == ALL_UNIVARIATE
+    errors = [r for r in results if "error" in r]
+    assert [r["method"] for r in errors] == failing
+    assert err == ["error: " + "; ".join(f"{r['method']}: {r['error']}" for r in errors)]
+    for r in results:
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, alone = run_cli(tmp_path, prob, "--method", r["method"], "--seed", "7",
+                              "--noise", "uniform")
+        if "error" in r:
+            assert r == {"schema": 1, "method": r["method"], "error": r["error"]}
+            assert code == 1 and alone is None
+            assert capsys.readouterr().err == f"error: {r['error']}\n"
+        else:
+            assert code in (0, 2) and alone == r
+
+
+DEGENERATE_GRIDS = {
+    # (points, dim, method, message)
+    "one-point": ([0.1], 1, "first-deriv",
+                  "first-derivative test needs at least two grid points"),
+    "one-point-all": ([0.1], 1, "all",
+                      "first-deriv: first-derivative test needs at least two grid points"),
+    "centre": ([0.0], 1, "second-deriv", "cannot encode a grid whose points all sit at the "
+               "centre of the domain along an axis"),
+    "centre-twice": ([0.0, 0.0], 1, "monotone", "cannot encode a grid whose points all sit at "
+                     "the centre of the domain along an axis"),
+    "centre-one-axis": ([[0.0, -0.2], [0.0, 0.3]], 2, "jensen", "cannot encode a grid whose "
+                        "points all sit at the centre of the domain along an axis"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_GRIDS))
+def test_degenerate_explicit_grid_names_its_cause(tmp_path, capsys, case):
+    points, dim, method, message = DEGENERATE_GRIDS[case]
+    poly = ({"kind": "uni", "coeffs": [0.0, 0.0, 1.0]} if dim == 1 else
+            {"kind": "multi", "dim": 2, "terms": [{"a": 1.0, "k": [2, 0]}, {"a": 1.0, "k": [0, 2]}]})
+    prob = {"schema": 1, "poly": poly, "grid": {"kind": "explicit", "points": points}}
+    code, rep = run_cli(tmp_path, prob, "--method", method)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    if method == "all":  # the other three tests still run on one point
+        ran = [r["method"] for r in rep["results"] if "outcome" in r]
+        assert ran == ["second-deriv", "jensen", "monotone"]
+    else:
+        assert rep is None
 
 
 def test_missing_input_is_exit_1(tmp_path, capsys):
@@ -291,6 +368,109 @@ def test_jensen_centres_agree_in_user_coordinates(tmp_path, kind):
     assert len(center) == len(oracle_center) == dim
     assert np.allclose(center, oracle_center, rtol=0.0, atol=1e-12)
     assert all(0.0 < c < 2.0 for c in center)
+
+
+# The box map as it was before `_box`: kept as the reference that the one
+# box map must match bit for bit.
+
+def _reference_to_working(points, domains):
+    out = np.empty_like(points)
+    for j, (a, b) in enumerate(domains):
+        c, w = (a + b) / 2.0, b - a
+        out[:, j] = (points[:, j] - c) / w
+    return out
+
+
+def _reference_to_user(t, domains):
+    a, b = domains[0]
+    c, w = (a + b) / 2.0, b - a
+    if isinstance(t, tuple):
+        return tuple(c + w * v for v in t)
+    return c + w * t
+
+
+def _reference_jsonable(v):
+    if isinstance(v, np.ndarray):
+        return _reference_jsonable(v.tolist())
+    if isinstance(v, (np.floating, float)):
+        return float(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, (list, tuple)):
+        return [_reference_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _reference_jsonable(x) for k, x in v.items()}
+    return v
+
+
+def _reference_center_to_user(center, domains):
+    if np.ndim(center) == 0:
+        return _reference_to_user(float(center), domains)
+    return [_reference_to_user(float(v), [domains[j]]) for j, v in enumerate(center)]
+
+
+def _reference_map_witness(witness, domains):
+    if witness is None:
+        return None
+    if isinstance(witness, dict):
+        out = dict(witness)
+        if "center" in out:
+            out["center"] = _reference_center_to_user(out["center"], domains)
+        return _reference_jsonable(out)
+    return _reference_jsonable(_reference_to_user(witness, domains))
+
+
+def _reference_map_oracle_witness(method, witness, domains):
+    if method != "jensen" or witness is None:
+        return _reference_map_witness(witness, domains)
+    center, lhs, rhs = witness
+    return _reference_jsonable([_reference_center_to_user(center, domains), lhs, rhs])
+
+
+def _random_witnesses(rng, dim, multi):
+    """(method, verdict witness, oracle witness) of every shape a report
+    maps, in working coordinates."""
+    def coord():
+        return float(rng.choice([rng.uniform(-0.5, 0.5), 0.0, -0.5, 0.5]))
+
+    center = [coord() for _ in range(dim)]
+    lambdas = [float(v) for v in rng.dirichlet(np.ones(4))]
+    lhs, rhs = float(rng.normal()), float(rng.normal())
+    oracle_center = np.array(center) if multi else center[0]
+    out = [("jensen", {"center": center, "lambdas": lambdas}, (oracle_center, lhs, rhs)),
+           ("jensen", None, None)]
+    if not multi:
+        number, pair = coord(), (coord(), coord())
+        out += [("second-deriv", number, number), ("first-deriv", pair, pair),
+                ("monotone", number, number)]
+    return out
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3], ids=["uni", "multi-1", "multi-2", "multi-3"])
+def test_box_map_matches_reference_bytes(dim):
+    multi = dim > 0
+    dim = max(dim, 1)
+    rng = np.random.default_rng([dim, multi])
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+    for _ in range(50):
+        lo = rng.uniform(-5.0, 5.0, size=dim)
+        domains = [(float(a), float(a + w)) for a, w in zip(lo, rng.uniform(0.01, 10.0, size=dim))]
+        box = _box(domains, multi)
+        for method, witness, oracle_witness in _random_witnesses(rng, dim, multi):
+            assert (dumps(_witness_to_user(witness, box, method))
+                    == dumps(_reference_map_witness(witness, domains)))
+            assert (dumps(_witness_to_user(oracle_witness, box, method))
+                    == dumps(_reference_map_oracle_witness(method, oracle_witness, domains)))
+        # explicit grid points go to working coordinates as the same bits
+        user = np.array([[a + (b - a) * t for a, b in domains]
+                         for t in rng.uniform(0.0, 1.0, size=8)])
+        raw = user[:, 0].tolist() if not multi else user.tolist()
+        grid = _build_grid({"grid": {"kind": "explicit", "points": raw}}, dim, box, None, 0)
+        reference = Grid.from_points(_reference_to_working(user, domains), pad_to_pow2=True)
+        assert grid.points.tobytes() == reference.points.tobytes()
 
 
 def test_reports_same_bytes_without_the_sup_memo(tmp_path, monkeypatch):
