@@ -68,7 +68,13 @@ class ResourceLedger:
         return ResourceLedger(entries=tuple(sorted(counts.items())), depth_units=depth)
 
     def adding(self, depth_units: int = 0, **counts: int) -> "ResourceLedger":
-        return self.merged(ResourceLedger.of(depth_units=depth_units, **counts))
+        """``self.merged(ResourceLedger.of(depth_units, **counts))`` in one pass."""
+        merged = dict(self.entries)
+        for k, v in counts.items():
+            if v:
+                merged[k] = merged.get(k, 0) + int(v)
+        return ResourceLedger(entries=tuple(sorted(merged.items())),
+                              depth_units=self.depth_units + int(depth_units))
 
     def count(self, key: str) -> int:
         return dict(self.entries).get(key, 0)
@@ -118,7 +124,7 @@ class BlockEnc:
         object.__setattr__(self, "data", arr)
         if arr.ndim != 1:
             raise ValueError("operator data must be the 1-D diagonal")
-        if np.iscomplexobj(arr):
+        if arr.dtype.kind == "c":
             raise ValueError("operator data must be real")
         if not _is_pow2(self.dim):
             raise ValueError(f"dimension {self.dim} is not a power of two")
@@ -126,7 +132,7 @@ class BlockEnc:
             raise ValueError("alpha must be positive and finite")
         if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be nonnegative and finite")
-        bound = float(np.max(np.abs(arr)))
+        bound = float(np.abs(arr).max())
         # written so that a NaN bound (from NaN data) fails it too
         if not bound <= self.alpha + self.eps + _NORM_TOL:
             if not np.isfinite(arr).all():
@@ -291,7 +297,7 @@ def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     of A/alpha is at most (1-delta)/gamma.  Costs m uses of the input."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    smax = float(np.max(np.abs(e.data))) / e.alpha
+    smax = float(np.abs(e.data).max()) / e.alpha
     if smax > (1.0 - _DELTA) / gamma + 1e-12:
         raise ValueError(
             f"amplification precondition violated: max singular value {smax:.6g} "

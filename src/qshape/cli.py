@@ -107,7 +107,11 @@ def _domains(obj: dict, dim: int) -> list[tuple[float, float]]:
         iv = _finite_array(ab, f"domain interval {ab!r}")
         if iv.shape != (2,) or not iv[0] < iv[1]:
             raise InputError(f"bad domain interval {ab!r}")
-        out.append((float(iv[0]), float(iv[1])))
+        a, b = float(iv[0]), float(iv[1])
+        # the box map needs both, and an inf would reach the report as Infinity
+        if not (math.isfinite(b - a) and math.isfinite((a + b) / 2.0)):
+            raise InputError(f"domain interval {ab!r} is too wide: its width or centre overflows")
+        out.append((a, b))
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -146,25 +145,31 @@ class MultiPoly:
         if len(domains) != self.dim:
             raise ValueError("one (a, b) interval required per axis")
         overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
+        rows: dict[tuple[int, int], np.ndarray] = {}
         new_terms: dict[tuple[int, ...], float] = {}
-        for a_k, k in self.terms:
-            # expand prod_j (c_j + w_j t_j)^{k_j} via per-axis binomials
-            axis_polys = []
-            for j, kj in enumerate(k):
-                lo, hi = domains[j]
-                if lo >= hi:
-                    raise ValueError(f"degenerate interval on axis {j}")
-                c, w = (lo + hi) / 2.0, hi - lo
-                try:
-                    axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
-                except OverflowError:
-                    raise ValueError(overflow) from None
-            for combo in iter_product(*(range(len(p)) for p in axis_polys)):
-                coeff = a_k
-                for j, i in enumerate(combo):
-                    coeff *= axis_polys[j][i]
-                key = tuple(combo)
-                new_terms[key] = new_terms.get(key, 0.0) + coeff
+        # overflow is reported below as one error, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a_k, k in self.terms:
+                # expand prod_j (c_j + w_j t_j)^{k_j} as an outer product of
+                # per-axis binomial rows, multiplied in axis order from a_k
+                coeff = np.array(a_k)
+                for j, kj in enumerate(k):
+                    lo, hi = domains[j]
+                    if lo >= hi:
+                        raise ValueError(f"degenerate interval on axis {j}")
+                    row = rows.get((j, kj))
+                    if row is None:
+                        c, w = (lo + hi) / 2.0, hi - lo
+                        try:
+                            row = rows[j, kj] = np.array(
+                                [math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
+                        except OverflowError:
+                            raise ValueError(overflow) from None
+                    coeff = np.multiply.outer(coeff, row)
+                # adding a zero changes no nonzero sum, and zero sums are dropped
+                nonzero = np.nonzero(coeff)
+                for key, v in zip(zip(*(ix.tolist() for ix in nonzero)), coeff[nonzero].tolist()):
+                    new_terms[key] = new_terms.get(key, 0.0) + v
         out = MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
         # the certified sup and the Jensen correction grow with this sum, so
         # it must stay finite too, not only each term

@@ -442,6 +442,9 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0)
         return zero, 1.0
     total_degrees = [sum(k) for _, k in f.terms]
     l_max = max(total_degrees)
+    # each (axis, exponent) power is built once and reused; product merges
+    # its ledger at every use, so every use is still charged
+    powers = {(j, 1): e for j, e in enumerate(axis_encodings)}
     term_encodings = []
     signs = []
     for (a, k), tot in zip(f.terms, total_degrees):
@@ -449,11 +452,10 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0)
         for j, kj in enumerate(k):
             if kj == 0:
                 continue
-            if kj == 1:
-                pw = axis_encodings[j]
-            else:
+            pw = powers.get((j, kj))
+            if pw is None:
                 mono = Poly([0.0] * kj + [0.5])  # t^kj / 2
-                pw = be.amplify(transform(axis_encodings[j], mono), 2.0)
+                pw = powers[j, kj] = be.amplify(transform(axis_encodings[j], mono), 2.0)
             cur = pw if cur is None else be.product(cur, pw)
         if cur is None:
             cur = be.identity(n)

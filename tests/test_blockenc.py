@@ -40,6 +40,21 @@ def test_ledger_is_immutable_and_sorted():
         l.depth_units = 5
 
 
+_LEDGER_KEYS = st.sampled_from(["amplification-uses", "lcu-combinations", "products", "scalings"])
+_LEDGER_COUNTS = st.dictionaries(_LEDGER_KEYS, st.integers(min_value=0, max_value=50))
+
+
+@given(_LEDGER_COUNTS, st.integers(min_value=0, max_value=20),
+       _LEDGER_COUNTS, st.integers(min_value=0, max_value=20))
+@settings(max_examples=200, deadline=None)
+def test_adding_is_merging_a_fresh_ledger(base, base_depth, counts, depth):
+    """Zero counts, new keys and keys already present, from a small key set."""
+    ledger = ResourceLedger.of(depth_units=base_depth, **base)
+    got = ledger.adding(depth_units=depth, **counts)
+    assert got == ledger.merged(ResourceLedger.of(depth_units=depth, **counts))
+    assert isinstance(got.entries, tuple) and list(got.entries) == sorted(got.entries)
+
+
 # -- construction ----------------------------------------------------------
 
 

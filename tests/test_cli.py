@@ -341,6 +341,27 @@ def test_multivariate_coefficient_overflow_is_exit_1(tmp_path, capsys, case):
     assert err.startswith("error: coefficients overflow when ")
 
 
+TOO_WIDE = {
+    # b - a overflows on an axis no term uses, so no remap step fails
+    "width": ("multi", [[0, 1], [-1e308, 1e308]]),
+    # b - a is finite but (a + b) / 2 overflows
+    "centre": ("multi", [[0, 1], [1e308, 1.5e308]]),
+    "uni": ("uni", [[-1e308, 1e308]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_WIDE))
+def test_interval_too_wide_is_exit_1(tmp_path, capsys, case):
+    kind, domain = TOO_WIDE[case]
+    poly = ({"kind": "multi", "dim": 2, "terms": [{"a": -1, "k": [2, 0]}]} if kind == "multi"
+            else {"kind": "uni", "coeffs": [0, 0, -1]})
+    prob = {"schema": 1, "poly": poly, "domain": domain, "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, "--method", "all")
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: domain interval {domain[-1]!r} is too wide: its width or centre overflows"]
+
+
 CONCAVE = {
     "uni": {"kind": "uni", "coeffs": [0.0, 0.0, -1.0]},
     "multi": {"kind": "multi", "dim": 2,

@@ -1,9 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -228,6 +229,77 @@ def test_multipoly_remap_matches_substitution():
         [(a + b) / 2 + (b - a) * ts[:, j] for j, (a, b) in enumerate(domains)]
     )
     np.testing.assert_allclose(g(ts), f(xs), atol=1e-10)
+
+
+def _reference_remap(f: MultiPoly, domains) -> MultiPoly:
+    """MultiPoly.remap as a per-combination loop, as it was before it
+    became a sum of NumPy outer products."""
+    domains = [tuple(map(float, ab)) for ab in domains]
+    overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
+    new_terms = {}
+    for a_k, k in f.terms:
+        axis_polys = []
+        for j, kj in enumerate(k):
+            lo, hi = domains[j]
+            if lo >= hi:
+                raise ValueError(f"degenerate interval on axis {j}")
+            c, w = (lo + hi) / 2.0, hi - lo
+            try:
+                axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
+            except OverflowError:
+                raise ValueError(overflow) from None
+        for combo in itertools.product(*(range(len(p)) for p in axis_polys)):
+            coeff = a_k
+            for j, i in enumerate(combo):
+                coeff *= axis_polys[j][i]
+            new_terms[combo] = new_terms.get(combo, 0.0) + coeff
+    out = MultiPoly(tuple((v, k) for k, v in new_terms.items()), f.dim)
+    if not math.isfinite(out.coefficient_sum):
+        raise ValueError(overflow)
+    return out
+
+
+@st.composite
+def _remap_cases(draw):
+    """dim 1-3, exponents <= 6, signed-zero and overflowing coefficients,
+    centred and off-centre boxes (some degenerate or overflowing)."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308]),
+                      st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=6)] * dim)
+    terms = draw(st.lists(st.tuples(coeff, exponents), min_size=1, max_size=8))
+    domains = []
+    for _ in range(dim):
+        lo = draw(st.one_of(st.floats(min_value=-10.0, max_value=10.0), st.sampled_from([-1e200, 1e150])))
+        if draw(st.booleans()):
+            h = abs(lo) or 1.0
+            domains.append((-h, h))
+        else:
+            width = draw(st.one_of(st.floats(min_value=1e-3, max_value=20.0), st.just(1e200)))
+            domains.append((lo, lo + width))
+    return MultiPoly(terms, dim), domains
+
+
+@given(_remap_cases())
+# finite terms whose products overflow; a centre whose power overflows; an
+# inf times a centred box's zero
+@example((MultiPoly(((1e308, (2, 0)), (1e308, (0, 1))), 2), [(0.0, 4.0), (0.0, 4.0)]))
+@example((MultiPoly(((1.0, (3, 0)),), 2), [(1e200, 2e200), (0.0, 4.0)]))
+@example((MultiPoly(((1e308, (1, 2)),), 2), [(-1e200, 1e200), (-1.0, 1.0)]))
+@settings(max_examples=400, deadline=None)
+def test_multipoly_remap_matches_per_combination_loop(case):
+    f, domains = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = _reference_remap(f, domains)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                f.remap(domains)
+            assert str(got.value) == str(exc)
+            return
+        got = f.remap(domains)
+    assert [(a.hex(), k) for a, k in got.terms] == [(a.hex(), k) for a, k in want.terms]
 
 
 def test_multipoly_certified_sup_upper_bound():

@@ -511,6 +511,82 @@ def test_multivariate_encoding_coefficients():
     np.testing.assert_allclose(e.data * corr, f(pts), atol=1e-12)
 
 
+def _reference_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0):
+    """build_multivariate_M with every term building its own powers, as it
+    did before powers were reused within one build."""
+    n = axis_encodings[0].dim
+    c_norm = float(np.max(np.abs([a for a, _ in f.terms])))
+    l_max = max(sum(k) for _, k in f.terms)
+    term_encodings, signs = [], []
+    for a, k in f.terms:
+        cur = None
+        for j, kj in enumerate(k):
+            if kj == 0:
+                continue
+            if kj == 1:
+                pw = axis_encodings[j]
+            else:
+                pw = be.amplify(transform(axis_encodings[j], Poly([0.0] * kj + [0.5])), 2.0)
+            cur = pw if cur is None else be.product(cur, pw)
+        if cur is None:
+            cur = be.identity(n)
+        if sum(k) < l_max and value_scale != 1.0:
+            cur = be.scale_down(cur, (1.0 / value_scale) ** (l_max - sum(k)))
+        if abs(a) < c_norm:
+            cur = be.scale_down(cur, c_norm / abs(a))
+        term_encodings.append(cur)
+        signs.append(1 if a > 0 else -1)
+    return be.lcu(term_encodings, signs), f.term_count * c_norm / value_scale**l_max
+
+
+def _multivariate_builds():
+    """Random 1-3 axis polynomials with few distinct exponents, so powers
+    repeat across terms, each on plain axis encodings (value_scale 1) and
+    on the Jensen gadgets (value_scale 1/4)."""
+    rng = np.random.default_rng(1806)
+    for i in range(16):
+        dim = 1 + i % 3
+        terms = [(float(rng.normal()), tuple(int(v) for v in rng.integers(0, 5, size=dim)))
+                 for _ in range(int(rng.integers(2, 9)))]
+        f = MultiPoly(terms, dim)
+        grid = Grid.uniform(16, dim=dim, seed=i)
+        axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(dim)]
+        yield f"plain-{i}", f, axis_encs, 1.0
+        sqrt_lam = be.encode_state(np.sqrt(WeightVector.uniform(grid.n).lambdas))
+        phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
+        gadgets = [overlap_gadget(_applied_prep(e, sqrt_lam.state, sqrt_lam.ledger), phi2)
+                   for e in axis_encs]
+        yield f"gadget-{i}", f, gadgets, 0.25
+
+
+@pytest.mark.parametrize("f, encs, value_scale", [c[1:] for c in _multivariate_builds()],
+                         ids=[c[0] for c in _multivariate_builds()])
+def test_multivariate_encoding_matches_per_term_build(f, encs, value_scale):
+    e, corr = build_multivariate_M(f, encs, value_scale=value_scale)
+    ref, ref_corr = _reference_multivariate_M(f, encs, value_scale)
+    assert e.data.tobytes() == ref.data.tobytes()
+    assert (e.alpha.hex(), e.ancillas, e.eps.hex()) == (ref.alpha.hex(), ref.ancillas, ref.eps.hex())
+    assert e.ledger == ref.ledger
+    assert corr.hex() == ref_corr.hex()
+
+
+def test_multivariate_encoding_builds_each_power_once(monkeypatch):
+    calls = []
+
+    def counting_transform(e, P):
+        calls.append(P.degree)
+        return transform(e, P)
+
+    monkeypatch.setattr("qshape.tester.transform", counting_transform)
+    reused = 0
+    for _, f, encs, value_scale in _multivariate_builds():
+        calls.clear()
+        build_multivariate_M(f, encs, value_scale=value_scale)
+        assert len(calls) == len({(j, kj) for _, k in f.terms for j, kj in enumerate(k) if kj >= 2})
+        reused += sum(kj >= 2 for _, k in f.terms for kj in k) - len(calls)
+    assert reused > 0  # the cases do repeat powers across terms
+
+
 def test_multivariate_encoding_caps():
     f = MultiPoly(((1.0, (20,)),), 1)
     enc = encode_grid_values(np.array([0.1, 0.2]))
