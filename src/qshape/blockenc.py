@@ -31,7 +31,6 @@ __all__ = [
     "amplification_uses",
     "identity",
     "normalize_subnormalization",
-    "embed_state",
 ]
 
 _NORM_TOL = 1e-9
@@ -53,28 +52,21 @@ class ResourceLedger:
 
     @classmethod
     def of(cls, depth_units: int = 0, **counts: int) -> "ResourceLedger":
-        return cls(
-            entries=tuple(sorted((k, int(v)) for k, v in counts.items() if v)),
-            depth_units=int(depth_units),
-        )
+        return cls().merged(depth_units=depth_units, **counts)
 
-    def merged(self, *others: "ResourceLedger") -> "ResourceLedger":
-        counts = dict(self.entries)
-        depth = self.depth_units
+    def merged(self, *others: "ResourceLedger", depth_units: int = 0, **counts: int) -> "ResourceLedger":
+        """This ledger plus ``others`` plus ``depth_units`` and ``counts``,
+        summed in one pass and sorted once; a zero count adds no entry."""
+        total = dict(self.entries)
+        depth = self.depth_units + int(depth_units)
         for o in others:
             for k, v in o.entries:
-                counts[k] = counts.get(k, 0) + v
+                total[k] = total.get(k, 0) + v
             depth += o.depth_units
-        return ResourceLedger(entries=tuple(sorted(counts.items())), depth_units=depth)
-
-    def adding(self, depth_units: int = 0, **counts: int) -> "ResourceLedger":
-        """``self.merged(ResourceLedger.of(depth_units, **counts))`` in one pass."""
-        merged = dict(self.entries)
         for k, v in counts.items():
             if v:
-                merged[k] = merged.get(k, 0) + int(v)
-        return ResourceLedger(entries=tuple(sorted(merged.items())),
-                              depth_units=self.depth_units + int(depth_units))
+                total[k] = total.get(k, 0) + int(v)
+        return ResourceLedger(entries=tuple(sorted(total.items())), depth_units=depth)
 
     def count(self, key: str) -> int:
         return dict(self.entries).get(key, 0)
@@ -153,21 +145,6 @@ class BlockEnc:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def apply_to_state(self, v: np.ndarray) -> np.ndarray:
-        """Action of the encoding unitary on |0>|v>: returns the 2N vector
-        [ (A/alpha) v ; sqrt(I - (A/alpha)^2) v ].
-
-        This is the standard unitary dilation; the top block is the flagged
-        branch of the definition's action equation.
-        """
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError("state dimension mismatch")
-        a = self.data / self.alpha
-        top = a * v
-        rest = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v
-        return np.concatenate([top, rest])
-
 
 def identity(n: int) -> BlockEnc:
     """The identity block encodes itself exactly (alpha = 1, eps = 0)."""
@@ -212,7 +189,7 @@ def diag_from_state(prep: StatePrep) -> BlockEnc:
     """Exact block encoding of diag(psi_0, ..., psi_{N-1}) from a prepared
     state, at alpha = 1 with log2(N) + 3 extra ancillas."""
     n = prep.dim
-    ledger = prep.ledger.adding(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
+    ledger = prep.ledger.merged(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
     return BlockEnc(prep.state.copy(), alpha=1.0, ancillas=_qubits(n) + 3, eps=0.0, ledger=ledger)
 
 
@@ -226,7 +203,7 @@ def diag_from_column(column: np.ndarray, contract: BlockEnc | Contract) -> Block
     contract, so a structured operator never has to be stored densely."""
     col = np.asarray(column, dtype=float) / contract.alpha
     n = col.shape[0]
-    ledger = contract.ledger.adding(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
+    ledger = contract.ledger.merged(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
     return BlockEnc(col, alpha=1.0, ancillas=contract.ancillas + _qubits(n) + 3,
                     eps=contract.eps / contract.alpha, ledger=ledger)
 
@@ -238,7 +215,7 @@ def product_contract(c1: BlockEnc | Contract, c2: BlockEnc | Contract) -> Contra
         alpha=c1.alpha * c2.alpha,
         ancillas=c1.ancillas + c2.ancillas,
         eps=c1.alpha * c2.eps + c2.alpha * c1.eps,
-        ledger=c1.ledger.merged(c2.ledger).adding(products=1),
+        ledger=c1.ledger.merged(c2.ledger, products=1),
     )
 
 
@@ -268,8 +245,8 @@ def lcu(encodings, signs) -> BlockEnc:
         if abs(e.alpha - alpha) > 1e-12 * max(1.0, alpha):
             raise ValueError("lcu requires equal alphas; rescale first")
     data = sum(s * e.data for s, e in zip(signs, encodings)) / m
-    ledger = encodings[0].ledger.merged(*(e.ledger for e in encodings[1:]))
-    ledger = ledger.adding(depth_units=m, **{"lcu-combinations": 1})
+    ledger = encodings[0].ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m,
+                                        **{"lcu-combinations": 1})
     return BlockEnc(
         data,
         alpha=alpha,
@@ -283,7 +260,7 @@ def scale_down(e: BlockEnc, p: float) -> BlockEnc:
     """Block encoding of A/p for p > 1 (one rotation, tensor, and product)."""
     if not p > 1.0:
         raise ValueError(f"scaling factor must exceed 1, got {p}")
-    ledger = e.ledger.adding(depth_units=1, scalings=1)
+    ledger = e.ledger.merged(depth_units=1, scalings=1)
     return BlockEnc(e.data / p, alpha=e.alpha, ancillas=e.ancillas + 1, eps=e.eps / p, ledger=ledger)
 
 
@@ -306,18 +283,8 @@ def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     m = amplification_uses(gamma)
     norm_a = smax * e.alpha
     eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
-    ledger = e.ledger.adding(depth_units=m, **{"amplification-uses": m})
+    ledger = e.ledger.merged(depth_units=m, **{"amplification-uses": m})
     return BlockEnc(gamma * e.data, alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
-
-
-def embed_state(v: np.ndarray, dim: int) -> np.ndarray:
-    """Pad a state vector with zeros up to ``dim`` (ancilla-extended copy)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] > dim:
-        raise ValueError("cannot embed into a smaller dimension")
-    out = np.zeros(dim)
-    out[: v.shape[0]] = v
-    return out
 
 
 def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:

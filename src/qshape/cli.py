@@ -154,7 +154,9 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
         if n_flag is not None:
             _warn("--n is ignored for explicit grids")
         centre, width = box
-        working = (pts - centre) / width
+        # a point that overflows here fails the range check below
+        with np.errstate(over="ignore"):
+            working = (pts - centre) / width
         if np.max(np.abs(working)) > 0.5 + 1e-9:
             raise InputError("explicit points fall outside the declared domain")
         m = pts.shape[0]

@@ -29,7 +29,11 @@ __all__ = [
     "largest_eigenvalue",
     "overlap_gadget",
     "amplitude_estimate",
+    "GADGET_FACTOR",
 ]
+
+# The overlap gadget encodes the weighted mean it reads times this factor.
+GADGET_FACTOR = 0.25
 
 GAP_THRESHOLD = 0.01  # below this, the O(1)-gap assumption is flagged
 _PSD_TOL = 1e-9
@@ -93,38 +97,50 @@ def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> Eige
     gap_flag = (top - second) < GAP_THRESHOLD
     estimate = top + cfg.draw(salt)
     n_qubits = int(round(math.log2(e.dim)))
-    query_factor = math.ceil((1.0 / cfg.eps) * (n_qubits + math.log2(1.0 / cfg.eps)))
-    ledger = e.ledger.adding(
-        depth_units=math.ceil(e.ledger.depth_units * (1.0 / cfg.eps) * (n_qubits + math.log2(1.0 / cfg.eps))),
-        **{"eigenvalue-estimation-queries": query_factor},
-    )
+    inv_eps = 1.0 / cfg.eps
+    log_term = n_qubits + math.log2(inv_eps)
+    queries = inv_eps * log_term
+    depth = e.ledger.depth_units * inv_eps * log_term
+    if not (math.isfinite(queries) and math.isfinite(depth)):
+        raise ValueError(f"eps = {cfg.eps:.6g} is too small for eigenvalue estimation: "
+                         "its query count overflows")
+    ledger = e.ledger.merged(depth_units=math.ceil(depth),
+                             **{"eigenvalue-estimation-queries": math.ceil(queries)})
     return EigenvalueEstimate(value=estimate, gap_flag=gap_flag, ledger=ledger)
 
 
-def overlap_gadget(prep1: StatePrep, prep2: StatePrep) -> BlockEnc:
-    """2x2 diagonal encoding diag(+w/4, -w/4) with w the real inner product
-    of the two prepared states.
+def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
+    """2x2 diagonal encoding diag(+w, -w) * GADGET_FACTOR with w = <phi|A|phi>/alpha,
+    for the prepared state |phi> and the operator A that ``e`` encodes.
 
-    Built exactly as the construction prescribes: prepare the controlled
-    superposition state, trace down to the one-qubit density matrix
+    Built exactly as the construction prescribes: the two states are one use
+    of the encoding's unitary on |0>|phi> and |0>|phi> itself; prepare their
+    controlled superposition, trace down to the one-qubit density matrix
     diag((1+w)/2, (1-w)/2), and subtract I/2 by a linear combination.
     """
-    if prep1.dim != prep2.dim:
-        raise ValueError("overlap gadget requires equal state dimensions")
-    n = prep1.dim
-    phi1, phi2 = prep1.state, prep2.state
-    # rows: the traced branch qubit and N-dim register; columns: the kept
+    n = prep.dim
+    if e.dim != n:
+        raise ValueError("overlap gadget requires a state of the encoding's dimension")
+    v = prep.state
+    # the unitary dilation [(A/alpha) v ; sqrt(I - (A/alpha)^2) v] of |0>|v>,
+    # and |0>|v> as a zero-padded 2N vector
+    a = e.data / e.alpha
+    phi1 = np.concatenate([a * v, np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v])
+    phi2 = np.zeros(2 * n)
+    phi2[:n] = v
+    # rows: the traced branch qubit and 2N-dim register; columns: the kept
     # flag qubit.  The two columns have disjoint supports, so the density
     # matrix psi^T psi is exactly diagonal.
-    psi = np.zeros((2 * n, 2))
-    psi[:n, 0] = (phi1 + phi2) / 2.0
-    psi[n:, 1] = (phi1 - phi2) / 2.0
-    traced = int(round(math.log2(2 * n)))
-    # the controlled preparation, then the joint state prepared and
-    # unprepared once each to trace out all but the flag qubit
-    ledger = prep1.ledger.merged(prep2.ledger).adding(
-        depth_units=2 + traced + 1,
-        **{"controlled-state-prep-queries": 2, "state-prep-queries": 2},
+    psi = np.zeros((4 * n, 2))
+    psi[:2 * n, 0] = (phi1 + phi2) / 2.0
+    psi[2 * n:, 1] = (phi1 - phi2) / 2.0
+    traced = int(round(math.log2(4 * n)))
+    # the prepared state in each branch, one use of the encoding, the
+    # controlled preparation, then the joint state prepared and unprepared
+    # once each to trace out all but the flag qubit
+    ledger = e.ledger.merged(
+        prep.ledger, prep.ledger, depth_units=2 + traced + 1,
+        **{"base-encoding-queries": 1, "controlled-state-prep-queries": 2, "state-prep-queries": 2},
     )
     diagonal = (psi.T @ psi).diagonal()
     rho = BlockEnc(diagonal, alpha=1.0, ancillas=traced, eps=0.0, ledger=ledger)
@@ -139,10 +155,11 @@ def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int 
     ``eps`` is the raw estimate's accuracy: a pipeline that multiplies the
     estimate by a scale divides its own accuracy by that scale.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0 < eps < math.inf and math.isfinite(1.0 / eps)):
+        raise ValueError(f"eps = {eps:.6g} is out of range for amplitude estimation: it must be "
+                         "positive and finite, and its query count 1/eps must fit in a float")
     raw = float(e.data[0])
     value = raw + cfg.draw(salt, eps=eps)
     queries = math.ceil(1.0 / eps)
-    ledger = e.ledger.adding(depth_units=queries, **{"amplitude-estimation-queries": queries})
+    ledger = e.ledger.merged(depth_units=queries, **{"amplitude-estimation-queries": queries})
     return AmplitudeEstimate(value=value, ledger=ledger)

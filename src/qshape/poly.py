@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,16 @@ class Poly:
         return float(np.sum(np.abs(self.coeffs)))
 
 
+def _integer(v, what: str) -> int:
+    """``v`` as an int; a bool, a non-number or a number with a fractional
+    part is refused rather than truncated."""
+    # an Integral is tested apart, since float() of a large int overflows
+    if not isinstance(v, bool) and isinstance(v, numbers.Real):
+        if isinstance(v, numbers.Integral) or float(v).is_integer():
+            return int(v)
+    raise ValueError(f"{what} {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Multivariate polynomial as a sum of monomials a_k * x1^k1 ... xd^kd."""
@@ -98,11 +109,12 @@ class MultiPoly:
     dim: int
 
     def __init__(self, terms, dim: int):
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be positive")
         seen: dict[tuple[int, ...], float] = {}
         for a, k in terms:
-            k = tuple(int(v) for v in k)
+            k = tuple(_integer(v, "exponent") for v in k)
             if len(k) != dim:
                 raise ValueError(f"exponent tuple {k} does not match dim={dim}")
             if any(v < 0 for v in k):

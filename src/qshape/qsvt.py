@@ -35,7 +35,7 @@ def transform(e: BlockEnc, P: Poly) -> BlockEnc:
     d = P.degree
     data = P(e.data / e.alpha)
     eps_out = 4.0 * d * np.sqrt(e.eps / e.alpha) if e.eps > 0 else 0.0
-    ledger = e.ledger.adding(
+    ledger = e.ledger.merged(
         depth_units=d * (e.ancillas + 1),
         **{"base-encoding-queries": d, "controlled-base-encoding-queries": 1},
     )

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import blockenc as be
-from .blockenc import BlockEnc, ResourceLedger, StatePrep
-from .estimate import EstimatorConfig, amplitude_estimate, largest_eigenvalue, overlap_gadget
+from .blockenc import BlockEnc, ResourceLedger
+from .estimate import GADGET_FACTOR, EstimatorConfig, amplitude_estimate, largest_eigenvalue, overlap_gadget
 from .poly import Bounds, MultiPoly, Poly, certified_sup
 from .qsvt import build_M_family, transform
 
@@ -206,13 +206,6 @@ def encode_grid_values(values: np.ndarray) -> BlockEnc:
     prep = be.encode_state(v / nrm)
     diag = be.diag_from_state(prep)
     return be.normalize_subnormalization(diag, nrm)
-
-
-def _applied_prep(e: BlockEnc, state: np.ndarray, extra_ledger: ResourceLedger) -> StatePrep:
-    """State produced by running an encoding's unitary on |0>|state>."""
-    phi = e.apply_to_state(state)
-    ledger = e.ledger.merged(extra_ledger).adding(**{"base-encoding-queries": 1})
-    return StatePrep(state=phi, ledger=ledger)
 
 
 # --------------------------------------------------------------------------
@@ -486,27 +479,29 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
     an encoding of f at the grid.
     """
     sqrt_lam = be.encode_state(np.sqrt(w.lambdas))
-    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-
-    def gadget(enc: BlockEnc) -> BlockEnc:
-        return overlap_gadget(_applied_prep(enc, sqrt_lam.state, sqrt_lam.ledger), phi2)
-
     axes = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
     if isinstance(f, MultiPoly):
         m_enc, f_scale = build_multivariate_M(f, axes)
-        lhs_enc, lhs_scale = build_multivariate_M(f, [gadget(e) for e in axes], value_scale=0.25)
+        lhs_enc, lhs_scale = build_multivariate_M(
+            f, [overlap_gadget(e, sqrt_lam) for e in axes], value_scale=GADGET_FACTOR)
     else:
         f_scale = Bounds.from_poly(f).f_sup
         m_enc = transform(axes[0], f.scaled(f_scale))
-        # transforming the gadget with f(4t)/s evaluates f at the centre
-        f4 = f.compose_affine(0.0, 4.0)
-        lhs_scale = max(1.0, 2.0 * certified_sup(f4))
-        lhs_enc = transform(gadget(axes[0]), f4.scaled(lhs_scale))
-    rhs_scale = 4.0 * f_scale
+        # transforming the gadget with f(t / GADGET_FACTOR)/s evaluates f at
+        # the centre; overflow is reported as one error, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_lhs = f.compose_affine(0.0, 1.0 / GADGET_FACTOR)
+            # finite only if every coefficient is, and then it bounds the sup
+            if not math.isfinite(f_lhs.coefficient_sum):
+                raise ValueError("coefficients overflow when f is rescaled to read the overlap gadget")
+            lhs_scale = max(1.0, 2.0 * certified_sup(f_lhs))
+        lhs_enc = transform(overlap_gadget(axes[0], sqrt_lam), f_lhs.scaled(lhs_scale))
+    rhs_scale = f_scale / GADGET_FACTOR
     a_lhs = amplitude_estimate(lhs_enc, cfg, eps=cfg.eps / lhs_scale, salt=_SALT_JENSEN_LHS)
-    a_rhs = amplitude_estimate(gadget(m_enc), cfg, eps=cfg.eps / rhs_scale, salt=_SALT_JENSEN_RHS)
+    a_rhs = amplitude_estimate(overlap_gadget(m_enc, sqrt_lam), cfg, eps=cfg.eps / rhs_scale,
+                               salt=_SALT_JENSEN_RHS)
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
-    scales = {"lhs_scale": lhs_scale, "rhs_scale": rhs_scale, "gadget_factor": 0.25}
+    scales = {"lhs_scale": lhs_scale, "rhs_scale": rhs_scale, "gadget_factor": GADGET_FACTOR}
     return a_lhs.value * lhs_scale, a_rhs.value * rhs_scale, ledger, scales
 
 

@@ -40,18 +40,40 @@ def test_ledger_is_immutable_and_sorted():
         l.depth_units = 5
 
 
+# The ledger merge as it was before it took counts, and the fresh ledger it
+# merged them from: kept as the two-step reference for the one-pass merge.
+
+
+def _reference_of(depth_units=0, **counts):
+    return ResourceLedger(entries=tuple(sorted((k, int(v)) for k, v in counts.items() if v)),
+                          depth_units=int(depth_units))
+
+
+def _reference_merged(ledger, *others):
+    counts = dict(ledger.entries)
+    depth = ledger.depth_units
+    for o in others:
+        for k, v in o.entries:
+            counts[k] = counts.get(k, 0) + v
+        depth += o.depth_units
+    return ResourceLedger(entries=tuple(sorted(counts.items())), depth_units=depth)
+
+
 _LEDGER_KEYS = st.sampled_from(["amplification-uses", "lcu-combinations", "products", "scalings"])
 _LEDGER_COUNTS = st.dictionaries(_LEDGER_KEYS, st.integers(min_value=0, max_value=50))
+_DEPTHS = st.integers(min_value=0, max_value=20)
+_LEDGERS = st.builds(lambda depth, counts: _reference_of(depth, **counts), _DEPTHS, _LEDGER_COUNTS)
 
 
-@given(_LEDGER_COUNTS, st.integers(min_value=0, max_value=20),
-       _LEDGER_COUNTS, st.integers(min_value=0, max_value=20))
+@given(_LEDGERS, st.lists(_LEDGERS, max_size=3), _DEPTHS, _LEDGER_COUNTS)
 @settings(max_examples=200, deadline=None)
-def test_adding_is_merging_a_fresh_ledger(base, base_depth, counts, depth):
-    """Zero counts, new keys and keys already present, from a small key set."""
-    ledger = ResourceLedger.of(depth_units=base_depth, **base)
-    got = ledger.adding(depth_units=depth, **counts)
-    assert got == ledger.merged(ResourceLedger.of(depth_units=depth, **counts))
+def test_merged_is_the_two_step_merge(ledger, others, depth, counts):
+    """Zero counts, new keys and keys already present, and the same ledger
+    merged more than once (the first other again, and the ledger itself)."""
+    others = [*others, *others[:1], ledger]
+    got = ledger.merged(*others, depth_units=depth, **counts)
+    assert got == _reference_merged(ledger, *others, _reference_of(depth, **counts))
+    assert ResourceLedger.of(depth, **counts) == _reference_of(depth, **counts)
     assert isinstance(got.entries, tuple) and list(got.entries) == sorted(got.entries)
 
 
@@ -150,15 +172,6 @@ def test_amplify_precondition():
         be.amplify(diag_enc([0.6, 0.0]), 2.0)  # 0.6 > (1-0.25)/2
 
 
-def test_apply_to_state_dilation():
-    e = diag_enc([0.5, -0.25], alpha=1.0)
-    v = np.array([0.6, 0.8])
-    out = e.apply_to_state(v)
-    np.testing.assert_allclose(out[:2], e.data * v)
-    # dilation preserves the norm
-    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v))
-
-
 @given(unit_vectors)
 @settings(max_examples=60, deadline=None)
 def test_normalize_subnormalization_recovers_values(v):
@@ -180,7 +193,3 @@ def test_normalize_subnormalization_depth_is_logarithmic():
     assert e.ledger.count("amplification-uses") > 8
     assert e.ledger.depth_units == d.ledger.depth_units + 8
 
-
-def test_embed_state():
-    out = be.embed_state(np.array([0.6, 0.8]), 4)
-    np.testing.assert_array_equal(out, [0.6, 0.8, 0.0, 0.0])

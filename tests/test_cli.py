@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_poly import _reference_call, _reference_compose_affine, _reference_derivative
 
 import qshape.poly
-from qshape.cli import _box, _build_grid, _witness_to_user, build_parser, main, run
+from qshape.cli import METHODS, _box, _build_grid, _witness_to_user, build_parser, main, run
 from qshape.tester import Grid
 
 CUBIC = {
@@ -91,9 +95,19 @@ FAILING_METHODS = {
     "constant": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
                   "grid": {"kind": "uniform", "n": 8}},
                  ["first-deriv", "monotone"]),
+    # Jensen's left side needs an accuracy of eps / 2^1020, whose query
+    # count overflows a float
+    "x^340": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0] * 340 + [1]},
+               "grid": {"kind": "uniform", "n": 8}},
+              ["jensen"]),
+    # f(4t) itself overflows
+    "x^342": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0] * 342 + [1]},
+               "grid": {"kind": "uniform", "n": 8}},
+              ["jensen"]),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(FAILING_METHODS))
 def test_method_all_reports_each_error_and_keeps_the_rest(tmp_path, capsys, case):
     prob, failing = FAILING_METHODS[case]
@@ -253,14 +267,20 @@ def test_explicit_grid(tmp_path):
     assert rep["outcome"] == "ConvexOnGrid"
 
 
-def test_explicit_grid_outside_domain(tmp_path):
-    prob = {
-        "schema": 1,
-        "poly": {"kind": "uni", "coeffs": [0.0, 1.0]},
-        "domain": [[0.0, 1.0]],
-        "grid": {"kind": "explicit", "points": [0.5, 2.0]},
-    }
-    assert main(["test", "--input", write(tmp_path, prob)]) == 1
+@pytest.mark.filterwarnings("error")
+def test_explicit_grid_outside_domain(tmp_path, capsys):
+    for poly, domain, points in [
+        ([0.0, 1.0], [0.0, 1.0], [0.5, 2.0]),
+        ([0.0, 0.0, 1.0], [0.0, 1e-300], [1e300]),  # the point overflows the box map
+    ]:
+        prob = {
+            "schema": 1,
+            "poly": {"kind": "uni", "coeffs": poly},
+            "domain": [domain],
+            "grid": {"kind": "explicit", "points": points},
+        }
+        assert main(["test", "--input", write(tmp_path, prob)]) == 1
+        assert capsys.readouterr().err == "error: explicit points fall outside the declared domain\n"
 
 
 def test_multivariate_jensen_only(tmp_path):
@@ -360,6 +380,57 @@ def test_interval_too_wide_is_exit_1(tmp_path, capsys, case):
     assert code == 1 and rep is None
     assert capsys.readouterr().err.splitlines() == [
         f"error: domain interval {domain[-1]!r} is too wide: its width or centre overflows"]
+
+
+ESTIMATOR_OVERFLOW = {
+    # 1/eps overflows the eigenvalue-estimation query count of every method
+    "eigenvalue": ({"kind": "uni", "coeffs": [0, 0, 1]}, ["--eps", "1e-308"]),
+    # eps / lhs_scale = eps / 2^1020 is too small to count 1/eps queries
+    "amplitude": ({"kind": "uni", "coeffs": [0] * 340 + [1]}, ["--method", "jensen"]),
+    # eps / lhs_scale overflows to inf, since the scale is subnormal
+    "infinite-uniform": ({"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]},
+                         ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"]),
+    "infinite-exact": ({"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]},
+                       ["--method", "jensen", "--eps", "1e-9", "--noise", "exact"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(ESTIMATOR_OVERFLOW))
+def test_estimator_accuracy_a_float_cannot_count_is_exit_1(tmp_path, capsys, case):
+    poly, flags = ESTIMATOR_OVERFLOW[case]
+    prob = {"schema": 1, "poly": poly, "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, *flags)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "eps = " in err[0]
+    if "--method" in flags:
+        assert rep is None
+    else:  # under all, every method reports its own error
+        assert ["error" in r for r in rep["results"]] == [True] * 4
+
+
+def test_exponents_must_be_integers(tmp_path, capsys):
+    def multi(k, dim=2):
+        return dict(CUBIC, poly={"kind": "multi", "dim": dim, "terms": [{"a": 1.0, "k": k}]},
+                    domain=[[0.0, 1.0]] * 2)
+
+    for prob, message in [
+        (multi([1.5, 1]), "exponent 1.5 is not an integer"),
+        (multi([True, 1]), "exponent True is not an integer"),
+        (multi([1, 1], dim=True), "dim True is not an integer"),
+    ]:
+        code, rep = run_cli(tmp_path, prob)
+        assert code == 1 and rep is None
+        assert capsys.readouterr().err == f"error: bad polynomial: {message}\n"
+    # an integral float is that integer
+    reports = []
+    for k in ([2.0, 1], [2, 1]):
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, rep = run_cli(tmp_path, multi(k), "--eps", "0.001")
+        assert code == 0
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 CONCAVE = {
@@ -595,3 +666,100 @@ def test_report_determinism(tmp_path):
               "--seed", "7", "--noise", "uniform", "--eps", "0.001"])
         texts.add(rep.read_bytes())
     assert len(texts) == 1
+
+
+# -- schema fuzz -------------------------------------------------------------
+
+# Mostly ordinary values, so that most problems run, with the extremes a
+# float can hold mixed in.
+_COEFFS = st.one_of(st.floats(min_value=-10.0, max_value=10.0),
+                    st.sampled_from([5e-324, -5e-324, 1e308, -1e308]))
+
+
+@st.composite
+def _uni_poly(draw):
+    degree = draw(st.one_of(st.integers(min_value=0, max_value=8),
+                            st.integers(min_value=0, max_value=400)))
+    coeffs = [0.0] * (degree + 1)
+    coeffs[degree] = draw(_COEFFS)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, degree), _COEFFS), max_size=3)):
+        coeffs[i] = c
+    return {"kind": "uni", "coeffs": coeffs}
+
+
+@st.composite
+def _multi_poly(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    exponents = st.lists(st.integers(min_value=0, max_value=14), min_size=dim, max_size=dim)
+    terms = draw(st.lists(st.fixed_dictionaries({"a": _COEFFS, "k": exponents}),
+                          min_size=1, max_size=4))
+    # now and then one exponent that is not an int
+    odd = draw(st.sampled_from([None] * 6 + [1.5, 2.0, True]))
+    if odd is not None:
+        terms[0]["k"][0] = odd
+    return {"kind": "multi", "dim": dim, "terms": terms}
+
+
+@st.composite
+def _problems(draw):
+    poly = draw(st.one_of(_uni_poly(), _multi_poly()))
+    dim = poly.get("dim", 1)
+    # (centre, width) per axis; at 1e300 a width of 1 is lost to rounding
+    boxes = [(0.0, 1.0)] * 4 + [(1.0, 1e-3), (-3.0, 1e3), (0.0, 1e-300), (0.0, 1e300),
+                                (1e300, 1e300), (-1e300, 1e300), (1e300, 1.0)]
+    centres, widths = zip(*draw(st.lists(st.sampled_from(boxes), min_size=dim, max_size=dim)))
+    problem = {"schema": 1, "poly": poly,
+               "domain": [[c - w / 2, c + w / 2] for c, w in zip(centres, widths)]}
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=1, max_value=16))
+        t = st.floats(min_value=-0.5, max_value=0.5)
+        pts = draw(st.lists(st.lists(t, min_size=dim, max_size=dim), min_size=m, max_size=m))
+        # now and then one coordinate on the edge, just outside it or far off
+        pts[0][0] = draw(st.sampled_from([pts[0][0]] * 6 + [-0.5, 0.7, 1e300]))
+        user = [[c + w * v for c, w, v in zip(centres, widths, p)] for p in pts]
+        problem["grid"] = {"kind": "explicit", "points": [p[0] for p in user] if dim == 1 else user}
+    else:
+        m = draw(st.integers(min_value=2, max_value=16))
+        problem["grid"] = {"kind": "uniform", "n": m}
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=m, max_size=m))
+        total = sum(raw)
+        # normalized when that is possible, and now and then left as drawn
+        normalize = total > 0 and draw(st.sampled_from([True] * 6 + [False]))
+        problem["weights"] = [v / total for v in raw] if normalize else raw
+    flags = ["--method", draw(st.sampled_from(METHODS)),
+             "--eps", repr(draw(st.sampled_from([5e-324, 1e-308, 1e-3, 1.0, 1e300]))),
+             "--noise", draw(st.sampled_from(["exact", "uniform"])), "--seed", "3"]
+    return problem, flags
+
+
+def _uni(coeffs, **extra):
+    return {"schema": 1, "poly": {"kind": "uni", "coeffs": coeffs},
+            "grid": {"kind": "uniform", "n": 8}, **extra}
+
+
+@given(_problems())
+@example((_uni([0, 0, 1]), ["--eps", "1e-308"]))
+@example((_uni([0] * 339 + [1]), ["--method", "jensen"]))
+@example((_uni([0] * 340 + [1]), ["--method", "all"]))
+@example((_uni([0] * 342 + [1]), ["--method", "jensen"]))
+@example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]}),
+          ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"]))
+@example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), []))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
+    problem, flags = case
+    directory = tmp_path_factory.mktemp("fuzz")
+    inp, rep = directory / "problem.json", directory / "report.json"
+    inp.write_text(json.dumps(problem))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["test", "--input", str(inp), "--report", str(rep), *flags])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2)
+    assert len(errors) == (1 if code == 1 else 0)
+    if rep.exists():  # a report is strict JSON: no NaN or Infinity
+        json.loads(rep.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    else:
+        assert code == 1

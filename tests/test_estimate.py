@@ -6,6 +6,7 @@ import pytest
 import qshape.blockenc as be
 from qshape.blockenc import BlockEnc, ResourceLedger, StatePrep
 from qshape.estimate import (
+    GADGET_FACTOR,
     EstimatorConfig,
     amplitude_estimate,
     largest_eigenvalue,
@@ -65,6 +66,19 @@ def test_largest_eigenvalue_ledger_cost():
     assert est.ledger.count("eigenvalue-estimation-queries") > 0
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda: largest_eigenvalue(diag_enc([0.5, 0.25]), EstimatorConfig(eps=1e-308)),
+    # the query count fits, but the depth scaled by it does not
+    lambda: largest_eigenvalue(diag_enc([0.5, 0.25], depth=10**300), EstimatorConfig(eps=1e-10)),
+    *(lambda eps=eps: amplitude_estimate(diag_enc([0.3, 0.1]), EstimatorConfig(), eps=eps)
+      for eps in (5e-324, 0.0, math.inf, math.nan)),
+], ids=["eigenvalue-queries", "eigenvalue-depth", "amplitude-subnormal", "amplitude-zero",
+        "amplitude-inf", "amplitude-nan"])
+def test_estimators_reject_an_accuracy_a_float_cannot_count(estimate):
+    with pytest.raises(ValueError, match="eps = "):
+        estimate()
+
+
 def test_largest_eigenvalue_noise_within_eps():
     cfg = EstimatorConfig(eps=0.005, seed=3, noise_mode="uniform")
     est = largest_eigenvalue(diag_enc([0.6, 0.1]), cfg)
@@ -78,17 +92,37 @@ def _prep(v):
 def test_overlap_gadget_encodes_quarter_overlap():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        a, b = rng.normal(size=(2, 8))
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        g = overlap_gadget(_prep(a), _prep(b))
-        w = float(a @ b)
-        np.testing.assert_allclose(g.data, [w / 4, -w / 4], atol=1e-12)
+        alpha = float(rng.uniform(0.5, 3.0))
+        e = diag_enc(alpha * rng.uniform(-1.0, 1.0, 8), alpha=alpha)
+        v = rng.normal(size=8)
+        v /= np.linalg.norm(v)
+        g = overlap_gadget(e, _prep(v))
+        w = float(v @ (e.data / alpha * v))
+        np.testing.assert_allclose(g.data, [GADGET_FACTOR * w, -GADGET_FACTOR * w], atol=1e-12)
 
 
-# Dense reference for the gadget: the joint state's 2x2 reduced density
-# matrix psi^T psi stored densely, then a dense linear combination with I/2,
-# with the contract and ledger of the density encoding and of lcu.
+# Reference for the gadget, as its callers ran it before it took the
+# encoding: the encoding's unitary dilation applied to |0>|phi> with one
+# base-encoding query charged, |phi> zero-padded to 2N, and the two-state
+# gadget on those, whose 2x2 reduced density matrix psi^T psi is stored
+# densely and combined densely with I/2, with the contract and ledger of
+# the density encoding and of lcu.
+
+
+def _reference_dilation(e, v):
+    a = e.data / e.alpha
+    top = a * v
+    rest = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v
+    return np.concatenate([top, rest])
+
+
+def _reference_two_states(e, prep):
+    applied = StatePrep(state=_reference_dilation(e, prep.state),
+                        ledger=e.ledger.merged(prep.ledger).merged(
+                            ResourceLedger.of(**{"base-encoding-queries": 1})))
+    padded = np.zeros(2 * prep.dim)
+    padded[: prep.dim] = prep.state
+    return applied, StatePrep(state=padded, ledger=prep.ledger)
 
 
 def _dense_overlap_gadget(prep1, prep2):
@@ -99,38 +133,50 @@ def _dense_overlap_gadget(prep1, prep2):
     joint = psi.reshape(-1).copy()
     rho = joint.reshape(2 * n, 2).T @ joint.reshape(2 * n, 2)
     rho_ledger = (prep1.ledger.merged(prep2.ledger)
-                  .adding(depth_units=2, **{"controlled-state-prep-queries": 2})
-                  .adding(depth_units=int(math.log2(4 * n)), **{"state-prep-queries": 2}))
+                  .merged(ResourceLedger.of(depth_units=2, **{"controlled-state-prep-queries": 2}))
+                  .merged(ResourceLedger.of(depth_units=int(math.log2(4 * n)), **{"state-prep-queries": 2})))
     half = be.scale_down(be.identity(2), 2.0)
     op = sum(s * m for s, m in zip([1, -1], [rho, np.diag(half.data)])) / 2
-    ledger = rho_ledger.merged(half.ledger).adding(depth_units=2, **{"lcu-combinations": 1})
+    ledger = rho_ledger.merged(half.ledger).merged(ResourceLedger.of(depth_units=2, **{"lcu-combinations": 1}))
     ancillas = max(int(math.log2(2 * n)), half.ancillas) + 1
     return op, 1.0, ancillas, 0.0, ledger
 
 
-def _gadget_states():
+def _gadget_cases():
+    """Encodings of alpha 1 and not, with eps 0 and > 0, entries at +-alpha,
+    and A = +alpha I, -alpha I and 0, whose two states are equal, opposite
+    and orthogonal; unit states random, basis vectors and zero beyond their
+    first half; for N = 1 ... 512."""
     rng = np.random.default_rng(2604)
     for n in (1, 2, 4, 8, 64, 512):
-        for _ in range(10):
-            a, b = rng.normal(size=(2, n))
-            yield a / np.linalg.norm(a), b / np.linalg.norm(b)
-        a = np.zeros(n)
-        a[0] = 1.0
-        yield a, a
-        yield a, -a
-        yield a, np.roll(a, 1) if n > 1 else a
-    # the Jensen pipeline's shape: prep2 is zero beyond its first half
-    a = rng.normal(size=16)
-    b = be.embed_state(rng.normal(size=8), 16)
-    yield a / np.linalg.norm(a), b / np.linalg.norm(b)
+        for i in range(12):
+            alpha = 1.0 if i % 3 == 0 else float(rng.uniform(0.1, 4.0))
+            eps = 0.0 if i % 2 == 0 else float(rng.uniform(1e-6, 0.1))
+            data = alpha * rng.uniform(-1.0, 1.0, n)
+            if i == 4:
+                data[0] = alpha
+            if i == 5:
+                data[-1] = -alpha
+            if i in (8, 9, 10):
+                data = np.full(n, (alpha, -alpha, 0.0)[i - 8])
+            e = BlockEnc(data, alpha=alpha, ancillas=int(rng.integers(0, 4)), eps=eps,
+                         ledger=ResourceLedger.of(depth_units=int(rng.integers(0, 9)), **{"x": 1}))
+            v = rng.normal(size=n)
+            if i == 6 and n > 1:
+                v[n // 2:] = 0.0
+            if i == 7:
+                v = np.zeros(n)
+                v[n - 1] = 1.0
+            yield e, StatePrep(state=v / np.linalg.norm(v),
+                               ledger=ResourceLedger.of(depth_units=3, **{"y": 2}))
 
 
 def test_overlap_gadget_matches_dense_reference():
-    for a, b in _gadget_states():
-        p1 = StatePrep(state=a, ledger=ResourceLedger.of(depth_units=3, **{"x": 1}))
-        p2 = StatePrep(state=b, ledger=ResourceLedger.of(depth_units=5, **{"y": 2}))
-        g = overlap_gadget(p1, p2)
-        op, alpha, ancillas, eps, ledger = _dense_overlap_gadget(p1, p2)
+    for e, prep in _gadget_cases():
+        g = overlap_gadget(e, prep)
+        applied, padded = _reference_two_states(e, prep)
+        assert np.linalg.norm(applied.state) == pytest.approx(1.0, abs=1e-12)
+        op, alpha, ancillas, eps, ledger = _dense_overlap_gadget(applied, padded)
         assert op[0, 1] == 0.0 and op[1, 0] == 0.0
         assert g.data.tobytes() == np.diagonal(op).tobytes()
         assert (g.alpha, g.ancillas, g.eps, g.ledger) == (alpha, ancillas, eps, ledger)
@@ -138,7 +184,7 @@ def test_overlap_gadget_matches_dense_reference():
 
 def test_overlap_gadget_dimension_mismatch():
     with pytest.raises(ValueError):
-        overlap_gadget(_prep([1.0, 0.0]), _prep([1.0, 0.0, 0.0, 0.0]))
+        overlap_gadget(diag_enc([0.5, 0.0]), _prep([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_amplitude_estimate_reads_first_entry():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
-from qshape.blockenc import BlockEnc, ResourceLedger, StatePrep
+from qshape.blockenc import BlockEnc, ResourceLedger
 from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
 from qshape.oracle import oracle_convex, oracle_monotone
 from qshape.poly import Bounds, MultiPoly, Poly, certified_sup, remap_domain
@@ -22,7 +22,6 @@ from qshape.tester import (
     test_convex_jensen,
     test_convex_second_derivative,
     test_monotone,
-    _applied_prep,
     _jensen_estimates,
     _mask_complement,
     _next_pow2,
@@ -388,9 +387,7 @@ def _reference_jensen_univariate(f: Poly, grid: Grid, w: WeightVector, cfg: Esti
     sqrt_lam = be.encode_state(np.sqrt(lam))
     grid_enc = encode_grid_values(xs)
 
-    phi1 = _applied_prep(grid_enc, sqrt_lam.state, sqrt_lam.ledger)
-    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-    gadget_lhs = overlap_gadget(phi1, phi2)
+    gadget_lhs = overlap_gadget(grid_enc, sqrt_lam)
     f4 = f.compose_affine(0.0, 4.0)
     s_lhs = max(1.0, 2.0 * certified_sup(f4))
     lhs_enc = transform(gadget_lhs, f4.scaled(s_lhs))
@@ -399,8 +396,7 @@ def _reference_jensen_univariate(f: Poly, grid: Grid, w: WeightVector, cfg: Esti
 
     bounds = Bounds.from_poly(f)
     m_enc = transform(grid_enc, f.scaled(bounds.f_sup))
-    phi1r = _applied_prep(m_enc, sqrt_lam.state, sqrt_lam.ledger)
-    gadget_rhs = overlap_gadget(phi1r, phi2)
+    gadget_rhs = overlap_gadget(m_enc, sqrt_lam)
     a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * bounds.f_sup))
     rhs = a_rhs.value * 4.0 * bounds.f_sup
 
@@ -415,16 +411,11 @@ def _reference_jensen_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cf
     axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
 
     big_m, corr_rhs = build_multivariate_M(f, axis_encs)
-    phi1r = _applied_prep(big_m, sqrt_lam.state, sqrt_lam.ledger)
-    phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-    gadget_rhs = overlap_gadget(phi1r, phi2)
+    gadget_rhs = overlap_gadget(big_m, sqrt_lam)
     a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * corr_rhs))
     rhs = a_rhs.value * 4.0 * corr_rhs
 
-    gadgets = []
-    for j in range(grid.dim):
-        phi1j = _applied_prep(axis_encs[j], sqrt_lam.state, sqrt_lam.ledger)
-        gadgets.append(overlap_gadget(phi1j, phi2))
+    gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
     lhs_enc, corr_lhs = build_multivariate_M(f, gadgets, value_scale=0.25)
     a_lhs = amplitude_estimate(lhs_enc, cfg, salt=21, eps=cfg.eps / corr_lhs)
     lhs = a_lhs.value * corr_lhs
@@ -553,9 +544,7 @@ def _multivariate_builds():
         axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(dim)]
         yield f"plain-{i}", f, axis_encs, 1.0
         sqrt_lam = be.encode_state(np.sqrt(WeightVector.uniform(grid.n).lambdas))
-        phi2 = StatePrep(state=be.embed_state(sqrt_lam.state, 2 * grid.n), ledger=sqrt_lam.ledger)
-        gadgets = [overlap_gadget(_applied_prep(e, sqrt_lam.state, sqrt_lam.ledger), phi2)
-                   for e in axis_encs]
+        gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
         yield f"gadget-{i}", f, gadgets, 0.25
 
 
