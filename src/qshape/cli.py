@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimate import EstimatorConfig
 from .oracle import oracle_convex, oracle_monotone
-from .poly import MultiPoly, poly_from_json, remap_domain
+from .poly import MultiPoly, poly_from_json, remap_domain, scale_domains
 from .tester import (
     Grid,
     Outcome,
@@ -247,10 +247,16 @@ def run(args) -> int:
         domains = _domains(problem, dim)
         box = _box(domains, multi)
         if multi:
-            f = f_raw.remap(domains)
+            f, scale = scale_domains(f_raw, domains)
         else:
             f, _scale = remap_domain(f_raw, *domains[0])
         grid = _build_grid(problem, dim, box, args.n, seed)
+        if multi:
+            # u = x/s = c/s + (w/s) t reads the grid where f's scaled terms
+            # do, and the box (0, s) takes every witness back to x
+            centre, width = box
+            grid = Grid(centre / scale + (width / scale) * grid.points, grid.n_original)
+            box = (0.0, scale)
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
             raise InputError("--eps must be positive and finite")

@@ -1,5 +1,5 @@
-"""Polynomial representations: derivatives, evaluation, domain remapping, and
-certified sup-norm bounds.
+"""Polynomial representations: derivatives, evaluation, the maps of a user's
+domain onto the working domain, and certified sup-norm bounds.
 
 All bounds are *certified*: the returned value is guaranteed to be an upper
 bound on the true supremum (dense sampling plus a derivative-based slack,
@@ -21,8 +21,8 @@ __all__ = [
     "Bounds",
     "certified_sup",
     "remap_domain",
+    "scale_domains",
     "poly_from_json",
-    "poly_to_json",
 ]
 
 
@@ -150,45 +150,6 @@ class MultiPoly:
     def coefficient_sum(self) -> float:
         return float(sum(abs(a) for a, _ in self.terms))
 
-    def remap(self, domains) -> "MultiPoly":
-        """Substitute x_j = c_j + w_j * t_j for per-axis boxes [a_j, b_j],
-        yielding the polynomial in t over [-1/2, 1/2]^dim."""
-        domains = [tuple(map(float, ab)) for ab in domains]
-        if len(domains) != self.dim:
-            raise ValueError("one (a, b) interval required per axis")
-        overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
-        rows: dict[tuple[int, int], np.ndarray] = {}
-        new_terms: dict[tuple[int, ...], float] = {}
-        # overflow is reported below as one error, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a_k, k in self.terms:
-                # expand prod_j (c_j + w_j t_j)^{k_j} as an outer product of
-                # per-axis binomial rows, multiplied in axis order from a_k
-                coeff = np.array(a_k)
-                for j, kj in enumerate(k):
-                    lo, hi = domains[j]
-                    if lo >= hi:
-                        raise ValueError(f"degenerate interval on axis {j}")
-                    row = rows.get((j, kj))
-                    if row is None:
-                        c, w = (lo + hi) / 2.0, hi - lo
-                        try:
-                            row = rows[j, kj] = np.array(
-                                [math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
-                        except OverflowError:
-                            raise ValueError(overflow) from None
-                    coeff = np.multiply.outer(coeff, row)
-                # adding a zero changes no nonzero sum, and zero sums are dropped
-                nonzero = np.nonzero(coeff)
-                for key, v in zip(zip(*(ix.tolist() for ix in nonzero)), coeff[nonzero].tolist()):
-                    new_terms[key] = new_terms.get(key, 0.0) + v
-        out = MultiPoly(tuple((v, k) for k, v in new_terms.items()), self.dim)
-        # the certified sup and the Jensen correction grow with this sum, so
-        # it must stay finite too, not only each term
-        if not math.isfinite(out.coefficient_sum):
-            raise ValueError(overflow)
-        return out
-
 
 # The sample grid of every polynomial of degree <= 409.
 _SAMPLE = np.linspace(-1.0, 1.0, 4097)
@@ -217,31 +178,13 @@ def _sup_univariate(p: Poly) -> float:
     return float(min(bound, csum))
 
 
-def _sup_multivariate(p: MultiPoly) -> float:
-    csum = p.coefficient_sum
-    d = p.dim
-    per_axis = max(10 * p.max_exponent + 1, 9)
-    per_axis = min(per_axis, max(5, int(round(2e5 ** (1.0 / d)))))
-    axes = [np.linspace(-1.0, 1.0, per_axis)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    vmax = float(np.max(np.abs(p(mesh))))
-    h = 2.0 / (per_axis - 1)
-    # per-axis partial-derivative bounds on [-1,1]^d from coefficient sums
-    slack = sum(sum(abs(a) * k[j] for a, k in p.terms) * h / 2.0 for j in range(d))
-    return float(min(vmax + slack, csum))
-
-
-def certified_sup(p) -> float:
-    """Certified upper bound on sup |p| over [-1,1] (or [-1,1]^dim).
+def certified_sup(p: Poly) -> float:
+    """Certified upper bound on sup |p| over [-1, 1].
 
     Never exceeds the coefficient-sum bound and never undershoots the true
     supremum.
     """
-    if isinstance(p, Poly):
-        return _sup_univariate(p)
-    if isinstance(p, MultiPoly):
-        return _sup_multivariate(p)
-    raise TypeError(f"expected Poly or MultiPoly, got {type(p).__name__}")
+    return _sup_univariate(p)
 
 
 def _sup_on_half_box(p: Poly) -> float:
@@ -270,6 +213,37 @@ def remap_domain(p: Poly, a: float, b: float) -> tuple[Poly, float]:
     if not (math.isfinite(s) and np.isfinite(q.coeffs).all()):
         raise ValueError(f"coefficients overflow when [{a}, {b}] is remapped onto the working domain")
     return q, s
+
+
+def scale_domains(p: MultiPoly, domains) -> tuple[MultiPoly, np.ndarray]:
+    """Per-axis scaling x = s*u of p, with s_j = 2 max(|a_j|, |b_j|), which
+    puts the box of [a_j, b_j] intervals inside the working domain
+    [-1/2, 1/2]^dim.
+
+    Returns (q, s) with q(u) = p(s*u).  q keeps p's terms and exponents;
+    each coefficient a becomes a * prod_j s_j**k_j, multiplied in axis
+    order.  On a centred box [-h, h], s = 2h is the box's width, so q is
+    the affine remap of p onto the working domain.
+    """
+    domains = [tuple(map(float, ab)) for ab in domains]
+    s = [2.0 * max(abs(lo), abs(hi)) for lo, hi in domains]
+    if not all(map(math.isfinite, s)):
+        raise ValueError(f"domain {domains} is too wide: 2 max(|a|, |b|) overflows on an axis")
+    overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
+    terms = []
+    for a, k in p.terms:
+        for sj, kj in zip(s, k, strict=True):
+            try:
+                a *= sj**kj
+            except OverflowError:  # raised by a float power out of range
+                raise ValueError(overflow) from None
+        terms.append((a, k))
+    q = MultiPoly(terms, p.dim)
+    # the Jensen correction grows with this sum, so it must stay finite too,
+    # not only each term
+    if not math.isfinite(q.coefficient_sum):
+        raise ValueError(overflow)
+    return q, np.array(s)
 
 
 @dataclass(frozen=True)
@@ -332,15 +306,3 @@ def poly_from_json(obj) -> Poly | MultiPoly:
             parsed.append((_finite_coefficient(t["a"]), tuple(t["k"])))
         return MultiPoly(tuple(parsed), dim)
     raise ValueError(f"unknown polynomial kind {kind!r}")
-
-
-def poly_to_json(p) -> dict:
-    if isinstance(p, Poly):
-        return {"kind": "uni", "coeffs": list(p.coeffs)}
-    if isinstance(p, MultiPoly):
-        return {
-            "kind": "multi",
-            "dim": p.dim,
-            "terms": [{"a": a, "k": list(k)} for a, k in p.terms],
-        }
-    raise TypeError(f"expected Poly or MultiPoly, got {type(p).__name__}")

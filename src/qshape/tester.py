@@ -201,8 +201,9 @@ def encode_grid_values(values: np.ndarray) -> BlockEnc:
     v = np.asarray(values, dtype=float)
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
-        raise ValueError("cannot encode a grid whose points all sit at the centre of the "
-                         "domain along an axis")
+        raise ValueError("cannot encode a grid whose points all sit at working coordinate 0 "
+                         "along an axis: the domain's centre for a univariate polynomial, "
+                         "x_j = 0 for a multivariate one")
     prep = be.encode_state(v / nrm)
     diag = be.diag_from_state(prep)
     return be.normalize_subnormalization(diag, nrm)
@@ -355,6 +356,9 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     comp = _mask_complement(grid)
     shifted = be.product(comp, be.product(shifted, comp))
     eps_prime = cfg.eps / (2.0 * sqrt_n)
+    if eps_prime == 0.0:
+        raise ValueError(f"eps = {cfg.eps!r} underflows to 0 when divided by 2 sqrt(n) = "
+                         f"{2.0 * sqrt_n:g} for the first-derivative test")
 
     def steepest_drop():
         xs = grid.original_points[:, 0]

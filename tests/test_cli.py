@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,18 +132,18 @@ def test_method_all_reports_each_error_and_keeps_the_rest(tmp_path, capsys, case
             assert code in (0, 2) and alone == r
 
 
+ZERO_AXIS = ("cannot encode a grid whose points all sit at working coordinate 0 along an axis: "
+             "the domain's centre for a univariate polynomial, x_j = 0 for a multivariate one")
+
 DEGENERATE_GRIDS = {
     # (points, dim, method, message)
     "one-point": ([0.1], 1, "first-deriv",
                   "first-derivative test needs at least two grid points"),
     "one-point-all": ([0.1], 1, "all",
                       "first-deriv: first-derivative test needs at least two grid points"),
-    "centre": ([0.0], 1, "second-deriv", "cannot encode a grid whose points all sit at the "
-               "centre of the domain along an axis"),
-    "centre-twice": ([0.0, 0.0], 1, "monotone", "cannot encode a grid whose points all sit at "
-                     "the centre of the domain along an axis"),
-    "centre-one-axis": ([[0.0, -0.2], [0.0, 0.3]], 2, "jensen", "cannot encode a grid whose "
-                        "points all sit at the centre of the domain along an axis"),
+    "centre": ([0.0], 1, "second-deriv", ZERO_AXIS),
+    "centre-twice": ([0.0, 0.0], 1, "monotone", ZERO_AXIS),
+    "centre-one-axis": ([[0.0, -0.2], [0.0, 0.3]], 2, "jensen", ZERO_AXIS),
 }
 
 
@@ -160,6 +161,50 @@ def test_degenerate_explicit_grid_names_its_cause(tmp_path, capsys, case):
         assert ran == ["second-deriv", "jensen", "monotone"]
     else:
         assert rep is None
+
+
+OFF_CENTRE_AXIS = {
+    # (domain, points, zero axis): the working coordinate 0 is the centre of
+    # a univariate domain, but x_j = 0 for a multivariate polynomial
+    "uni-centre": ([[-1.0, 3.0]], [1.0, 1.0], True),
+    "uni-origin": ([[-1.0, 3.0]], [0.0, 0.0], False),
+    "multi-centre": ([[-1.0, 3.0], [-1.0, 1.0]], [[1.0, -0.5], [1.0, 0.5]], False),
+    "multi-origin": ([[-1.0, 3.0], [-1.0, 1.0]], [[0.0, -0.5], [0.0, 0.5]], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_CENTRE_AXIS))
+def test_zero_axis_error_on_an_off_centre_box(tmp_path, capsys, case):
+    domain, points, refused = OFF_CENTRE_AXIS[case]
+    poly = ({"kind": "uni", "coeffs": [0.0, 0.0, 1.0]} if len(domain) == 1 else
+            {"kind": "multi", "dim": 2, "terms": [{"a": 1.0, "k": [2, 0]}, {"a": 1.0, "k": [0, 2]}]})
+    prob = {"schema": 1, "poly": poly, "domain": domain,
+            "grid": {"kind": "explicit", "points": points}}
+    code, rep = run_cli(tmp_path, prob, "--method", "jensen")
+    if refused:
+        assert code == 1 and rep is None
+        assert capsys.readouterr().err.splitlines() == [f"error: {ZERO_AXIS}"]
+    else:
+        assert code in (0, 2) and rep["outcome"]
+
+
+def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
+    prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
+            "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, "--method", "first-deriv", "--eps", "5e-324")
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == [
+        "error: eps = 5e-324 underflows to 0 when divided by 2 sqrt(n) = 5.65685 "
+        "for the first-derivative test"]
+
+
+def test_readme_problem_runs(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert main(["test", "--input", str(path), "--report", str(tmp_path / "report.json")]) in (0, 2)
 
 
 def test_missing_input_is_exit_1(tmp_path, capsys):
@@ -362,7 +407,7 @@ def test_multivariate_coefficient_overflow_is_exit_1(tmp_path, capsys, case):
 
 
 TOO_WIDE = {
-    # b - a overflows on an axis no term uses, so no remap step fails
+    # b - a overflows on an axis no term uses, so no coefficient overflows
     "width": ("multi", [[0, 1], [-1e308, 1e308]]),
     # b - a is finite but (a + b) / 2 overflows
     "centre": ("multi", [[0, 1], [1e308, 1.5e308]]),
@@ -380,6 +425,34 @@ def test_interval_too_wide_is_exit_1(tmp_path, capsys, case):
     assert code == 1 and rep is None
     assert capsys.readouterr().err.splitlines() == [
         f"error: domain interval {domain[-1]!r} is too wide: its width or centre overflows"]
+
+
+def test_multivariate_scale_that_overflows_is_exit_1(tmp_path, capsys):
+    # the width and centre are finite, but s = 2 max(|a|, |b|) is not
+    poly = {"kind": "multi", "dim": 2, "terms": [{"a": -1, "k": [2, 0]}]}
+    prob = {"schema": 1, "poly": poly, "domain": [[0, 1], [-1e308, 1e307]],
+            "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, "--method", "all")
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == [
+        "error: domain [(0.0, 1.0), (-1e+308, 1e+307)] is too wide: "
+        "2 max(|a|, |b|) overflows on an axis"]
+
+
+def test_high_degree_multivariate_term_is_refused_without_expansion(tmp_path, capsys):
+    # expanding x^100 y^100 z^100 onto [0, 1]^3 would take 101^3 terms; the
+    # scaled term is one, and the exponent cap refuses it
+    prob = {"schema": 1, "poly": {"kind": "multi", "dim": 3, "terms": [{"a": 1, "k": [100] * 3}]},
+            "domain": [[0, 1]] * 3, "grid": {"kind": "uniform", "n": 8}}
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(tmp_path, prob, "--method", "jensen")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == ["error: monomial degree 100 exceeds cap 12"]
+    assert peak < 8 * 2**20
 
 
 ESTIMATOR_OVERFLOW = {
@@ -460,6 +533,29 @@ def test_jensen_centres_agree_in_user_coordinates(tmp_path, kind):
     assert len(center) == len(oracle_center) == dim
     assert np.allclose(center, oracle_center, rtol=0.0, atol=1e-12)
     assert all(0.0 < c < 2.0 for c in center)
+
+
+def test_off_centre_multivariate_jensen_agrees_with_the_oracle(tmp_path):
+    # boxes [a, a + w] away from 0: expanding each term about such a box's
+    # centre can exceed the 64-term cap, while scaling keeps the user's terms
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for i in range(300):
+        dim = int(rng.integers(2, 4))
+        terms = [{"a": float(rng.uniform(-1, 1)), "k": [int(v) for v in rng.integers(0, 7, dim)]}
+                 for _ in range(int(rng.integers(3, 13)))]
+        corner, width = rng.uniform(-3, 3, dim), rng.uniform(0.2, 3, dim)
+        n = int(rng.choice([8, 16]))
+        raw = rng.exponential(1.0, n)
+        prob = {"schema": 1, "poly": {"kind": "multi", "dim": dim, "terms": terms},
+                "domain": [[float(a), float(a + w)] for a, w in zip(corner, width)],
+                "grid": {"kind": "uniform", "n": n}, "weights": (raw / raw.sum()).tolist()}
+        code, rep = run_cli(tmp_path, prob, "--method", "jensen", "--eps", "1e-3",
+                            "--seed", str(i), "--noise", "uniform")
+        assert code in (0, 2), prob
+        assert rep["agreement"] is not False, prob
+        outcomes.append(rep["outcome"])
+    assert outcomes.count("Inconclusive") < 30
 
 
 # The box map as it was before `_box`: kept as the reference that the one

@@ -14,9 +14,9 @@ from qshape.poly import (
     Poly,
     certified_sup,
     poly_from_json,
-    poly_to_json,
     _sup_univariate,
     remap_domain,
+    scale_domains,
 )
 
 coeff_lists = st.lists(
@@ -219,50 +219,66 @@ def test_multipoly_eval_and_dedup():
     np.testing.assert_allclose(f(pts), [1.05, 0.0])
 
 
-def test_multipoly_remap_matches_substitution():
+def test_scale_domains_matches_substitution():
     f = MultiPoly(((1.0, (2, 1)), (-0.5, (0, 3))), 2)
     domains = [(-1.0, 3.0), (0.5, 1.5)]
-    g = f.remap(domains)
+    g, s = scale_domains(f, domains)
+    assert s.tolist() == [6.0, 3.0]
+    assert [k for _, k in g.terms] == [k for _, k in f.terms]
     rng = np.random.default_rng(0)
-    ts = rng.uniform(-0.5, 0.5, (20, 2))
-    xs = np.column_stack(
-        [(a + b) / 2 + (b - a) * ts[:, j] for j, (a, b) in enumerate(domains)]
-    )
-    np.testing.assert_allclose(g(ts), f(xs), atol=1e-10)
+    xs = np.column_stack([rng.uniform(a, b, 20) for a, b in domains])
+    assert np.max(np.abs(xs / s)) <= 0.5
+    np.testing.assert_allclose(g(xs / s), f(xs), atol=1e-10)
+
+
+def _reference_scale(f: MultiPoly, domains) -> tuple[MultiPoly, list[float]]:
+    """The per-axis scaling term by term and axis by axis, in Python
+    floats: a * s_1**k_1 * ... * s_d**k_d."""
+    domains = [tuple(map(float, ab)) for ab in domains]
+    s = [2.0 * max(abs(lo), abs(hi)) for lo, hi in domains]
+    if not all(math.isfinite(v) for v in s):
+        raise ValueError(f"domain {domains} is too wide: 2 max(|a|, |b|) overflows on an axis")
+    overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
+    terms = []
+    for a, k in f.terms:
+        coeff = a
+        for j in range(f.dim):
+            try:
+                power = s[j] ** k[j]
+            except OverflowError:
+                raise ValueError(overflow) from None
+            coeff = coeff * power
+        terms.append((coeff, k))
+    out = MultiPoly(terms, f.dim)
+    if not math.isfinite(sum(abs(a) for a, _ in out.terms)):
+        raise ValueError(overflow)
+    return out, s
 
 
 def _reference_remap(f: MultiPoly, domains) -> MultiPoly:
-    """MultiPoly.remap as a per-combination loop, as it was before it
-    became a sum of NumPy outer products."""
+    """The affine remap x_j = c_j + w_j t_j as a per-combination loop over
+    each term's binomial expansion (the substitution the per-axis scaling
+    replaces; on a centred box the two are the same map)."""
     domains = [tuple(map(float, ab)) for ab in domains]
-    overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
     new_terms = {}
     for a_k, k in f.terms:
         axis_polys = []
         for j, kj in enumerate(k):
             lo, hi = domains[j]
-            if lo >= hi:
-                raise ValueError(f"degenerate interval on axis {j}")
             c, w = (lo + hi) / 2.0, hi - lo
-            try:
-                axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
-            except OverflowError:
-                raise ValueError(overflow) from None
+            axis_polys.append([math.comb(kj, i) * c ** (kj - i) * w**i for i in range(kj + 1)])
         for combo in itertools.product(*(range(len(p)) for p in axis_polys)):
             coeff = a_k
             for j, i in enumerate(combo):
                 coeff *= axis_polys[j][i]
             new_terms[combo] = new_terms.get(combo, 0.0) + coeff
-    out = MultiPoly(tuple((v, k) for k, v in new_terms.items()), f.dim)
-    if not math.isfinite(out.coefficient_sum):
-        raise ValueError(overflow)
-    return out
+    return MultiPoly(tuple((v, k) for k, v in new_terms.items()), f.dim)
 
 
 @st.composite
-def _remap_cases(draw):
+def _scale_cases(draw):
     """dim 1-3, exponents <= 6, signed-zero and overflowing coefficients,
-    centred and off-centre boxes (some degenerate or overflowing)."""
+    centred and off-centre boxes (some overflowing)."""
     dim = draw(st.integers(min_value=1, max_value=3))
     coeff = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308]),
                       st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
@@ -280,40 +296,42 @@ def _remap_cases(draw):
     return MultiPoly(terms, dim), domains
 
 
-@given(_remap_cases())
-# finite terms whose products overflow; a centre whose power overflows; an
-# inf times a centred box's zero
+@given(_scale_cases())
+# finite terms whose products overflow; a scale whose power overflows; a
+# term that overflows on one axis and underflows on the next; an axis
+# whose scale overflows
 @example((MultiPoly(((1e308, (2, 0)), (1e308, (0, 1))), 2), [(0.0, 4.0), (0.0, 4.0)]))
 @example((MultiPoly(((1.0, (3, 0)),), 2), [(1e200, 2e200), (0.0, 4.0)]))
-@example((MultiPoly(((1e308, (1, 2)),), 2), [(-1e200, 1e200), (-1.0, 1.0)]))
+@example((MultiPoly(((1e300, (1, 6)),), 2), [(-1e200, 1e200), (-1e-60, 1e-60)]))
+@example((MultiPoly(((1.0, (1, 0)),), 2), [(0.0, 1.0), (-1e308, -9e307)]))
 @settings(max_examples=400, deadline=None)
-def test_multipoly_remap_matches_per_combination_loop(case):
+def test_scale_domains_matches_per_term_reference(case):
     f, domains = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            want = _reference_remap(f, domains)
+            want, s = _reference_scale(f, domains)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                f.remap(domains)
+                scale_domains(f, domains)
             assert str(got.value) == str(exc)
             return
-        got = f.remap(domains)
+        got, got_s = scale_domains(f, domains)
+    assert [v.hex() for v in got_s.tolist()] == [v.hex() for v in s]
     assert [(a.hex(), k) for a, k in got.terms] == [(a.hex(), k) for a, k in want.terms]
-
-
-def test_multipoly_certified_sup_upper_bound():
-    f = MultiPoly(((0.7, (1, 2)), (-0.4, (3, 0))), 2)
-    s = certified_sup(f)
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(-1, 1, (4000, 2))
-    assert s >= np.max(np.abs(f(pts))) - 1e-12
+    # on a centred box the scaling is the affine remap, bit for bit
+    if all(lo == -hi for lo, hi in domains):
+        remapped = _reference_remap(f, domains)
+        assert [(a.hex(), k) for a, k in got.terms] == [(a.hex(), k) for a, k in remapped.terms]
 
 
 def test_json_round_trip():
-    for p in (Poly([1.0, 0.0, -0.5]), MultiPoly(((0.5, (1, 2)),), 2)):
-        q = poly_from_json(poly_to_json(p))
-        assert q == p
+    # the literal dicts are the JSON forms of the polynomials they parse to
+    cases = [({"kind": "uni", "coeffs": [1.0, 0.0, -0.5]}, Poly([1.0, 0.0, -0.5])),
+             ({"kind": "multi", "dim": 2, "terms": [{"a": 0.5, "k": [1, 2]}]},
+              MultiPoly(((0.5, (1, 2)),), 2))]
+    for obj, p in cases:
+        assert poly_from_json(obj) == p
 
 
 def test_json_rejects_malformed():
