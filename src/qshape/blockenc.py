@@ -42,13 +42,22 @@ _DELTA = 0.25
 _EPS_AMP = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResourceLedger:
     """Additive resource accounting: per-primitive query counts plus
-    symbolic circuit-depth units."""
+    symbolic circuit-depth units.  The counts are kept in a dict, so a merge
+    never sorts; ``entries`` is their sorted tuple, made when read."""
 
-    entries: tuple[tuple[str, int], ...] = ()
+    _counts: dict = field(hash=False)
     depth_units: int = 0
+
+    def __init__(self, entries=(), depth_units: int = 0):
+        object.__setattr__(self, "_counts", dict(entries))
+        object.__setattr__(self, "depth_units", depth_units)
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(self._counts.items()))
 
     @classmethod
     def of(cls, depth_units: int = 0, **counts: int) -> "ResourceLedger":
@@ -56,20 +65,20 @@ class ResourceLedger:
 
     def merged(self, *others: "ResourceLedger", depth_units: int = 0, **counts: int) -> "ResourceLedger":
         """This ledger plus ``others`` plus ``depth_units`` and ``counts``,
-        summed in one pass and sorted once; a zero count adds no entry."""
-        total = dict(self.entries)
+        summed in one pass; a zero count adds no entry."""
+        total = self._counts.copy()
         depth = self.depth_units + int(depth_units)
         for o in others:
-            for k, v in o.entries:
+            for k, v in o._counts.items():
                 total[k] = total.get(k, 0) + v
             depth += o.depth_units
         for k, v in counts.items():
             if v:
                 total[k] = total.get(k, 0) + int(v)
-        return ResourceLedger(entries=tuple(sorted(total.items())), depth_units=depth)
+        return ResourceLedger(total, depth)
 
     def count(self, key: str) -> int:
-        return dict(self.entries).get(key, 0)
+        return self._counts.get(key, 0)
 
     def as_dict(self) -> dict:
         return {"entries": dict(self.entries), "depth_units": self.depth_units}
@@ -99,7 +108,8 @@ class BlockEnc:
     """An (alpha, a, eps) block encoding of a diagonal operator.
 
     ``data`` is the operator's real diagonal, and the stored operator always
-    satisfies max|data| <= alpha + eps.
+    satisfies max|data| <= alpha + eps.  A writable array is copied; the
+    primitives pass theirs read-only (:func:`_owned`), so none is copied.
     """
 
     data: np.ndarray
@@ -146,9 +156,15 @@ class BlockEnc:
         return self.data.shape[0]
 
 
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """A freshly computed array, read-only, for a BlockEnc to keep uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
 def identity(n: int) -> BlockEnc:
     """The identity block encodes itself exactly (alpha = 1, eps = 0)."""
-    return BlockEnc(np.ones(n), alpha=1.0, ancillas=0, eps=0.0)
+    return BlockEnc(_owned(np.ones(n)), alpha=1.0, ancillas=0, eps=0.0)
 
 
 @dataclass(frozen=True)
@@ -190,7 +206,7 @@ def diag_from_state(prep: StatePrep) -> BlockEnc:
     state, at alpha = 1 with log2(N) + 3 extra ancillas."""
     n = prep.dim
     ledger = prep.ledger.merged(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
-    return BlockEnc(prep.state.copy(), alpha=1.0, ancillas=_qubits(n) + 3, eps=0.0, ledger=ledger)
+    return BlockEnc(prep.state, alpha=1.0, ancillas=_qubits(n) + 3, eps=0.0, ledger=ledger)
 
 
 def diag_from_column(column: np.ndarray, contract: BlockEnc | Contract) -> BlockEnc:
@@ -204,7 +220,7 @@ def diag_from_column(column: np.ndarray, contract: BlockEnc | Contract) -> Block
     col = np.asarray(column, dtype=float) / contract.alpha
     n = col.shape[0]
     ledger = contract.ledger.merged(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
-    return BlockEnc(col, alpha=1.0, ancillas=contract.ancillas + _qubits(n) + 3,
+    return BlockEnc(_owned(col), alpha=1.0, ancillas=contract.ancillas + _qubits(n) + 3,
                     eps=contract.eps / contract.alpha, ledger=ledger)
 
 
@@ -223,7 +239,7 @@ def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
     """Block encoding of A1 A2 under :func:`product_contract`."""
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    data = e1.data * e2.data
+    data = _owned(e1.data * e2.data)
     c = product_contract(e1, e2)
     return BlockEnc(data, alpha=c.alpha, ancillas=c.ancillas, eps=c.eps, ledger=c.ledger)
 
@@ -244,7 +260,7 @@ def lcu(encodings, signs) -> BlockEnc:
             raise ValueError("lcu requires equal dimensions")
         if abs(e.alpha - alpha) > 1e-12 * max(1.0, alpha):
             raise ValueError("lcu requires equal alphas; rescale first")
-    data = sum(s * e.data for s, e in zip(signs, encodings)) / m
+    data = _owned(sum(s * e.data for s, e in zip(signs, encodings)) / m)
     ledger = encodings[0].ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m,
                                         **{"lcu-combinations": 1})
     return BlockEnc(
@@ -261,7 +277,7 @@ def scale_down(e: BlockEnc, p: float) -> BlockEnc:
     if not p > 1.0:
         raise ValueError(f"scaling factor must exceed 1, got {p}")
     ledger = e.ledger.merged(depth_units=1, scalings=1)
-    return BlockEnc(e.data / p, alpha=e.alpha, ancillas=e.ancillas + 1, eps=e.eps / p, ledger=ledger)
+    return BlockEnc(_owned(e.data / p), alpha=e.alpha, ancillas=e.ancillas + 1, eps=e.eps / p, ledger=ledger)
 
 
 def amplification_uses(gamma: float) -> int:
@@ -284,7 +300,7 @@ def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     norm_a = smax * e.alpha
     eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
     ledger = e.ledger.merged(depth_units=m, **{"amplification-uses": m})
-    return BlockEnc(gamma * e.data, alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
+    return BlockEnc(_owned(gamma * e.data), alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
 
 
 def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:
@@ -303,8 +319,5 @@ def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:
     if factor < 1.0:
         return scale_down(e, 1.0 / factor)
     amplified = amplify(e, factor)
-    ledger = ResourceLedger(
-        entries=amplified.ledger.entries,
-        depth_units=e.ledger.depth_units + _qubits(e.dim),
-    )
+    ledger = ResourceLedger(amplified.ledger.entries, e.ledger.depth_units + _qubits(e.dim))
     return replace(amplified, ledger=ledger)

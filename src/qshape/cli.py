@@ -129,7 +129,9 @@ def _to_user(t, box):
     return (centre + width * np.asarray(t)).tolist()
 
 
-def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
+def _build_grid(obj: dict, dim: int, box, n_flag, seed: int, scale=None) -> Grid:
+    """The problem's grid in working coordinates t, or, given a ``"multi"``
+    polynomial's axis scales, in u = x/s, where its scaled terms read it."""
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
     if not isinstance(spec, dict):
         raise InputError("'grid' must be an object with a 'kind' field")
@@ -142,7 +144,11 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
             padded = 1 << (n - 1).bit_length()
             _warn(f"grid size {n} is not a power of two; using {padded}")
             n = padded
-        return Grid.uniform(n, dim=dim, seed=seed)
+        grid = Grid.uniform(n, dim=dim, seed=seed)
+        if scale is None:
+            return grid
+        centre, width = box  # x = c + w t, so u = c/s + (w/s) t
+        return Grid(centre / scale + (width / scale) * grid.points, grid.n_original)
     if kind == "explicit":
         pts = _finite_array(spec.get("points"), "explicit grid points")
         if pts.ndim == 1:
@@ -162,7 +168,8 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
         m = pts.shape[0]
         if m & (m - 1):
             _warn(f"{m} points is not a power of two; padding by repeating the last point")
-        return Grid.from_points(working, pad_to_pow2=True)
+        # straight to u = x/s, so that a point at x_j = 0 is exactly 0 whatever the box
+        return Grid.from_points(working if scale is None else pts / scale, pad_to_pow2=True)
     raise InputError(f"unknown grid kind {kind!r}")
 
 
@@ -250,13 +257,9 @@ def run(args) -> int:
             f, scale = scale_domains(f_raw, domains)
         else:
             f, _scale = remap_domain(f_raw, *domains[0])
-        grid = _build_grid(problem, dim, box, args.n, seed)
+        grid = _build_grid(problem, dim, box, args.n, seed, scale if multi else None)
         if multi:
-            # u = x/s = c/s + (w/s) t reads the grid where f's scaled terms
-            # do, and the box (0, s) takes every witness back to x
-            centre, width = box
-            grid = Grid(centre / scale + (width / scale) * grid.points, grid.n_original)
-            box = (0.0, scale)
+            box = (0.0, scale)  # takes every witness from u back to x
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
             raise InputError("--eps must be positive and finite")

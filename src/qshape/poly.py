@@ -56,9 +56,12 @@ class Poly:
         """Horner's rule, elementwise over x."""
         x = np.asarray(x, dtype=float)
         c = self.coeffs
-        out = c[-1] + x * 0
+        # in place; IEEE + and * commute, so these are polyval's bits
+        out = x * 0
+        out += c[-1]
         for a in c[-2::-1]:
-            out = a + out * x
+            out *= x
+            out += a
         return out
 
     def derivative(self, order: int = 1) -> "Poly":
@@ -86,7 +89,7 @@ class Poly:
     def scaled(self, s: float) -> "Poly":
         return Poly(np.array(self.coeffs) / s)
 
-    @property
+    @functools.cached_property
     def coefficient_sum(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
@@ -151,9 +154,11 @@ class MultiPoly:
         return float(sum(abs(a) for a, _ in self.terms))
 
 
-# The sample grid of every polynomial of degree <= 409.
+# The sample of every polynomial of degree <= 409, and the refinement's steps.
 _SAMPLE = np.linspace(-1.0, 1.0, 4097)
 _SAMPLE.setflags(write=False)
+_REFINE = np.arange(1025.0)
+_REFINE.setflags(write=False)
 
 
 # One CLI call certifies the same few polynomials many times over (the
@@ -161,21 +166,25 @@ _SAMPLE.setflags(write=False)
 # keyed on the frozen Poly makes each distinct one cost a single sampling.
 @functools.lru_cache(maxsize=64)
 def _sup_univariate(p: Poly) -> float:
-    csum = p.coefficient_sum
     if p.degree == 0:
         return abs(p.coeffs[0])
     m = max(10 * p.degree + 1, _SAMPLE.size)
     xs = _SAMPLE if m == _SAMPLE.size else np.linspace(-1.0, 1.0, m)
-    vals = np.abs(p(xs))
-    i = int(np.argmax(vals))
+    vals = p(xs)
+    np.abs(vals, out=vals)
+    i = int(vals.argmax())
     vmax = float(vals[i])
-    # local refinement around the coarse argmax tightens the sampled maximum
+    # local refinement around the coarse argmax tightens the sampled maximum;
+    # fine is np.linspace(lo, hi, 1025), by linspace's own arithmetic
     h = 2.0 / (m - 1)
     lo, hi = max(-1.0, xs[i] - h), min(1.0, xs[i] + h)
-    vmax = max(vmax, float(np.max(np.abs(p(np.linspace(lo, hi, 1025))))))
-    d1_csum = p.derivative().coefficient_sum
-    bound = vmax + d1_csum * h / 2.0
-    return float(min(bound, csum))
+    fine = _REFINE * ((hi - lo) / 1024)
+    fine += lo
+    fine[-1] = hi
+    vals = p(fine)
+    vmax = max(vmax, float(np.abs(vals, out=vals).max()))
+    bound = vmax + p.derivative().coefficient_sum * h / 2.0
+    return float(min(bound, p.coefficient_sum))
 
 
 def certified_sup(p: Poly) -> float:
@@ -185,11 +194,6 @@ def certified_sup(p: Poly) -> float:
     supremum.
     """
     return _sup_univariate(p)
-
-
-def _sup_on_half_box(p: Poly) -> float:
-    # sup over [-1/2, 1/2] via the substitution t -> t/2
-    return certified_sup(p.compose_affine(0.0, 0.5))
 
 
 def remap_domain(p: Poly, a: float, b: float) -> tuple[Poly, float]:
@@ -206,7 +210,7 @@ def remap_domain(p: Poly, a: float, b: float) -> tuple[Poly, float]:
     # overflow is reported below as one error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         composed = p.compose_affine(c, w)
-        s = 2.0 * _sup_on_half_box(composed)
+        s = 2.0 * certified_sup(composed.compose_affine(0.0, 0.5))  # sup over [-1/2, 1/2]
         if s == 0.0:
             s = 1.0
         q = composed.scaled(s)

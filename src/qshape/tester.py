@@ -10,6 +10,7 @@ threshold come back Inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -105,6 +106,11 @@ class Grid:
     @property
     def original_points(self) -> np.ndarray:
         return self.points[: self.n_original]
+
+    @functools.cached_property
+    def axis_encodings(self) -> tuple[BlockEnc, ...]:
+        """Each axis's :func:`encode_grid_values`, built once for every test."""
+        return tuple(encode_grid_values(self.points[:, j]) for j in range(self.dim))
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
@@ -261,8 +267,7 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
     if grid.dim != 1:
         raise ValueError("second-derivative test is univariate")
     bounds = Bounds.from_poly(f)
-    grid_enc = encode_grid_values(grid.x)
-    fam = build_M_family(f, grid_enc, bounds)
+    fam = build_M_family(f, grid.axis_encodings[0], bounds)
     if fam.second_derivative_degenerate:
         return Verdict(
             outcome=Outcome.INCONCLUSIVE,
@@ -326,8 +331,7 @@ def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
     if bounds is None:
         bounds = Bounds.from_poly(f)
     n = grid.n
-    grid_enc = encode_grid_values(grid.x)
-    m1 = transform(grid_enc, f.derivative().scaled(bounds.d1_sup))
+    m1 = transform(grid.axis_encodings[0], f.derivative().scaled(bounds.d1_sup))
     layer = ResourceLedger.of(depth_units=int(round(math.log2(n))))
     hadamard = be.Contract(alpha=1.0, ancillas=0, eps=0.0, ledger=layer)
     circulant = be.Contract(alpha=2.0, ancillas=1, eps=0.0, ledger=layer)
@@ -384,8 +388,7 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
     if f.degree < 1:
         raise ValueError("monotonicity test requires degree >= 1")
     bounds = Bounds.from_poly(f)
-    grid_enc = encode_grid_values(grid.x)
-    fam = build_M_family(f, grid_enc, bounds)
+    fam = build_M_family(f, grid.axis_encodings[0], bounds)
     m1 = fam.M1 if direction == "increasing" else be.lcu([fam.M1], [-1])
     shifted = be.lcu([be.identity(grid.n), m1], [1, -1])
     good = Outcome.MONOTONE_INCREASING if direction == "increasing" else Outcome.MONOTONE_DECREASING
@@ -483,7 +486,7 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
     an encoding of f at the grid.
     """
     sqrt_lam = be.encode_state(np.sqrt(w.lambdas))
-    axes = [encode_grid_values(grid.points[:, j]) for j in range(grid.dim)]
+    axes = grid.axis_encodings
     if isinstance(f, MultiPoly):
         m_enc, f_scale = build_multivariate_M(f, axes)
         lhs_enc, lhs_scale = build_multivariate_M(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import strategies as st
 
 import qshape.blockenc as be
 from qshape.blockenc import BlockEnc, ResourceLedger
+from qshape.estimate import overlap_gadget
+from qshape.poly import Poly
+from qshape.qsvt import transform
+from qshape.tester import encode_grid_values
 
 
 def diag_enc(values, alpha=1.0, eps=0.0):
@@ -36,8 +41,15 @@ def test_ledger_merge_and_count():
 def test_ledger_is_immutable_and_sorted():
     l = ResourceLedger.of(b=2, a=1)
     assert l.entries == (("a", 1), ("b", 2))
+    assert list(l.as_dict()["entries"]) == ["a", "b"]
+    # the counts, not the order they were given in, make a ledger
+    same = ResourceLedger(entries=(("b", 2), ("a", 1)))
+    assert same == l and hash(same) == hash(l)
+    assert l != ResourceLedger.of(depth_units=1, b=2, a=1)
     with pytest.raises(AttributeError):
         l.depth_units = 5
+    with pytest.raises(AttributeError):
+        l.entries = ()
 
 
 # The ledger merge as it was before it took counts, and the fresh ledger it
@@ -83,6 +95,51 @@ def test_merged_is_the_two_step_merge(ledger, others, depth, counts):
 def test_rejects_norm_violation():
     with pytest.raises(ValueError):
         diag_enc([2.0, 0.0], alpha=1.0)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([2.0, 0.0], "operator norm 2 exceeds alpha + eps = 1"),
+    ([np.nan, 0.0], "operator data must be finite"),
+    ([0.5, np.inf], "operator data must be finite"),
+], ids=["norm", "nan", "inf"])
+def test_norm_check_messages(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        diag_enc(data)
+
+
+def test_writable_data_is_copied_and_read_only_data_kept():
+    arr = np.array([0.5, -0.25])
+    e = diag_enc(arr)
+    arr[0] = 0.75
+    assert e.data.tolist() == [0.5, -0.25] and not e.data.flags.writeable
+    frozen = np.array([0.5, -0.25])
+    frozen.setflags(write=False)
+    assert diag_enc(frozen).data is frozen
+
+
+def test_every_primitive_output_is_read_only():
+    """The primitives mark what they compute read-only, so BlockEnc keeps it
+    without a copy and nothing can change it afterwards."""
+    e = diag_enc([0.25, -0.125, 0.0, 0.125])
+    prep = be.encode_state([0.5, 0.5, 0.5, 0.5])
+    outputs = [
+        be.identity(4),
+        be.diag_from_state(prep),
+        be.diag_from_column(e.data, e),
+        be.product(e, e),
+        be.lcu([e, e], [1, -1]),
+        be.scale_down(e, 2.0),
+        be.amplify(e, 2.0),
+        be.normalize_subnormalization(e, 0.5),
+        be.normalize_subnormalization(e, 2.0),
+        transform(e, Poly([0.0, 0.5])),
+        overlap_gadget(e, prep),
+        encode_grid_values(np.array([-0.375, -0.125, 0.125, 0.375])),
+    ]
+    for out in outputs:
+        assert not out.data.flags.writeable
+        with pytest.raises(ValueError):
+            out.data[0] = 1.0
 
 
 def test_rejects_non_pow2_dim():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from test_poly import _reference_call, _reference_compose_affine, _reference_derivative
 
 import qshape.poly
+import qshape.tester
 from qshape.cli import METHODS, _box, _build_grid, _witness_to_user, build_parser, main, run
 from qshape.tester import Grid
 
@@ -65,6 +66,27 @@ def test_method_all(tmp_path):
         assert by_method[m]["witness"] is not None
         assert by_method[m]["agreement"] is True
     assert by_method["monotone"]["outcome"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("grid", [{"kind": "uniform", "n": 16},
+                                  {"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3, 1.35]}],
+                         ids=["uniform", "explicit"])
+def test_method_all_encodes_the_grid_once(tmp_path, monkeypatch, grid):
+    """The four univariate tests share the grid's one encoding, and each
+    method's entry is the report of that method run alone, to the byte."""
+    calls = []
+    encode = qshape.tester.encode_grid_values
+    monkeypatch.setattr(qshape.tester, "encode_grid_values",
+                        lambda values: calls.append(1) or encode(values))
+    prob = dict(CUBIC, grid=grid)
+    flags = ("--seed", "7", "--noise", "uniform", "--eps", "0.001")
+    _, rep = run_cli(tmp_path, prob, "--method", "all", *flags)
+    assert len(calls) == 1
+    assert [r["method"] for r in rep["results"]] == ALL_UNIVARIATE
+    for r in rep["results"]:
+        _, alone = run_cli(tmp_path, prob, "--method", r["method"], *flags)
+        assert json.dumps(alone, sort_keys=True, indent=2) == json.dumps(r, sort_keys=True, indent=2)
+    assert len(calls) == 5
 
 
 def test_witness_in_user_coordinates(tmp_path):
@@ -170,6 +192,9 @@ OFF_CENTRE_AXIS = {
     "uni-origin": ([[-1.0, 3.0]], [0.0, 0.0], False),
     "multi-centre": ([[-1.0, 3.0], [-1.0, 1.0]], [[1.0, -0.5], [1.0, 0.5]], False),
     "multi-origin": ([[-1.0, 3.0], [-1.0, 1.0]], [[0.0, -0.5], [0.0, 0.5]], True),
+    # a box on which c/s + (w/s) t gives 1.39e-17 for x = 0, not 0
+    "multi-origin-rounding": ([[-2.563989907254281, 4.752813844666417], [-1.0, 1.0]],
+                              [[0.0, -0.5], [0.0, 0.5]], True),
 }
 
 
@@ -186,6 +211,28 @@ def test_zero_axis_error_on_an_off_centre_box(tmp_path, capsys, case):
         assert capsys.readouterr().err.splitlines() == [f"error: {ZERO_AXIS}"]
     else:
         assert code in (0, 2) and rep["outcome"]
+
+
+def test_explicit_multivariate_points_map_straight_to_u():
+    """u = x/s for every box, so x = 0 is exactly 0; on a centred box that is
+    also the bits of the working coordinates."""
+    rng = np.random.default_rng(12)
+    for centred in (False, True):
+        for _ in range(200):
+            lo = -rng.uniform(0.1, 5.0, size=2)
+            hi = -lo if centred else rng.uniform(0.1, 5.0, size=2)
+            domains = [(float(a), float(b)) for a, b in zip(lo, hi)]
+            scale = np.array([2.0 * max(-a, b) for a, b in domains])
+            pts = rng.uniform(lo, hi, size=(8, 2))
+            pts[:, 0] = 0.0
+            spec = {"grid": {"kind": "explicit", "points": pts.tolist()}}
+            box = _box(domains, True)
+            grid = _build_grid(spec, 2, box, None, 0, scale)
+            assert grid.points.tobytes() == (pts / scale).tobytes()
+            assert not grid.points[:, 0].any()
+            if centred:
+                working = _build_grid(spec, 2, box, None, 0)
+                assert grid.points.tobytes() == working.points.tobytes()
 
 
 def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):

@@ -98,11 +98,18 @@ def test_certified_sup_memo_is_the_uncached_value(coeffs):
     assert second.hex() == first.hex()
 
 
+def _seeded_coeffs(degree: int) -> list[float]:
+    return np.random.default_rng(degree).uniform(-1e3, 1e3, size=degree + 1).tolist()
+
+
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=31))
 @settings(max_examples=150, deadline=None)
+# past degree 409 the sample is linspace(-1, 1, 10 d + 1), not the shared one
+@example(_seeded_coeffs(410))
+@example(_seeded_coeffs(600))
 def test_certified_sup_matches_reference(coeffs):
-    p = Poly(coeffs)  # degree <= 30
+    p = Poly(coeffs)  # degree <= 30, and the two examples
     assert certified_sup(p).hex() == _reference_sup_univariate(p).hex()
 
 
