@@ -11,7 +11,7 @@ operation returns a new value; nothing is mutated in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,6 +288,12 @@ def amplification_uses(gamma: float) -> int:
 def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     """Boost the encoded operator to gamma*A, valid when every singular value
     of A/alpha is at most (1-delta)/gamma.  Costs m uses of the input."""
+    return _amplify(e, gamma, None)
+
+
+def _amplify(e: BlockEnc, gamma: float, depth_units: int | None) -> BlockEnc:
+    """:func:`amplify`, charging ``depth_units`` of depth instead of m when
+    given, so a caller that accounts depth otherwise builds one encoding."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     smax = float(np.abs(e.data).max()) / e.alpha
@@ -299,7 +305,8 @@ def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     m = amplification_uses(gamma)
     norm_a = smax * e.alpha
     eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
-    ledger = e.ledger.merged(depth_units=m, **{"amplification-uses": m})
+    ledger = e.ledger.merged(depth_units=m if depth_units is None else depth_units,
+                             **{"amplification-uses": m})
     return BlockEnc(_owned(gamma * e.data), alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
 
 
@@ -318,6 +325,4 @@ def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:
         return e
     if factor < 1.0:
         return scale_down(e, 1.0 / factor)
-    amplified = amplify(e, factor)
-    ledger = ResourceLedger(amplified.ledger.entries, e.ledger.depth_units + _qubits(e.dim))
-    return replace(amplified, ledger=ledger)
+    return _amplify(e, factor, _qubits(e.dim))

@@ -35,6 +35,10 @@ __all__ = [
 # The overlap gadget encodes the weighted mean it reads times this factor.
 GADGET_FACTOR = 0.25
 
+# I/2 on the gadget's flag qubit, which the gadget subtracts; immutable, and
+# validated once here
+_HALF_IDENTITY = scale_down(identity(2), 2.0)
+
 GAP_THRESHOLD = 0.01  # below this, the O(1)-gap assumption is flagged
 _PSD_TOL = 1e-9
 
@@ -144,8 +148,7 @@ def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
     )
     diagonal = (psi.T @ psi).diagonal()
     rho = BlockEnc(diagonal, alpha=1.0, ancillas=traced, eps=0.0, ledger=ledger)
-    half_identity = scale_down(identity(2), 2.0)
-    return lcu([rho, half_identity], [1, -1])
+    return lcu([rho, _HALF_IDENTITY], [1, -1])
 
 
 def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int = 0) -> AmplitudeEstimate:

@@ -65,14 +65,22 @@ class Poly:
         return out
 
     def derivative(self, order: int = 1) -> "Poly":
-        """Exact coefficient-level derivative of the given order."""
+        """Exact coefficient-level derivative of the given order; each
+        polynomial is differentiated once, so f' and f'' are shared objects."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        c = np.array(self.coeffs)
+        p = self
         for _ in range(order):
-            # a constant differentiates to c*0, which keeps the sign of c
-            c = c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0.0
-        return Poly(c)
+            p = p._first_derivative
+        return p
+
+    # cached on the instance, never keyed on equality: Poly((0.0,)) equals
+    # Poly((-0.0,)), but each differentiates to its own signed zero
+    @functools.cached_property
+    def _first_derivative(self) -> "Poly":
+        c = np.array(self.coeffs)
+        # a constant differentiates to c*0, which keeps the sign of c
+        return Poly(c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0.0)
 
     def compose_affine(self, c: float, w: float) -> "Poly":
         """Coefficients of p(c + w*t) as a polynomial in t, by Horner's rule
@@ -161,6 +169,20 @@ _REFINE = np.arange(1025.0)
 _REFINE.setflags(write=False)
 
 
+def _end_max(c: tuple[float, ...]) -> float:
+    """max(|p(-1)|, |p(1)|) by Poly.__call__'s Horner steps on Python floats:
+    the same IEEE operations, so the same bits, without an array's overhead."""
+    ends = []
+    for x in (-1.0, 1.0):
+        out = x * 0
+        out += c[-1]
+        for a in c[-2::-1]:
+            out *= x
+            out += a
+        ends.append(abs(out))
+    return max(ends)
+
+
 # One CLI call certifies the same few polynomials many times over (the
 # remap, each method's Bounds, every transform precondition); a small cache
 # keyed on the frozen Poly makes each distinct one cost a single sampling.
@@ -168,7 +190,17 @@ _REFINE.setflags(write=False)
 def _sup_univariate(p: Poly) -> float:
     if p.degree == 0:
         return abs(p.coeffs[0])
+    csum = p.coefficient_sum
     m = max(10 * p.degree + 1, _SAMPLE.size)
+    h = 2.0 / (m - 1)
+    slack = p.derivative().coefficient_sum * h / 2.0
+    # The sample holds both ends, and x + slack rounds monotonically in x, so
+    # once an end plus the slack reaches a finite coefficient sum, the sampled
+    # bound would reach it too and min() returns the sum.  A finite sum means
+    # finite coefficients, so no sample is NaN.  (At a sample point inside,
+    # sum |c_k| - |p(x)| exceeds the slack; only rounding lets one decide.)
+    if math.isfinite(csum) and _end_max(p.coeffs) + slack >= csum:
+        return float(csum)
     xs = _SAMPLE if m == _SAMPLE.size else np.linspace(-1.0, 1.0, m)
     vals = p(xs)
     np.abs(vals, out=vals)
@@ -176,15 +208,13 @@ def _sup_univariate(p: Poly) -> float:
     vmax = float(vals[i])
     # local refinement around the coarse argmax tightens the sampled maximum;
     # fine is np.linspace(lo, hi, 1025), by linspace's own arithmetic
-    h = 2.0 / (m - 1)
     lo, hi = max(-1.0, xs[i] - h), min(1.0, xs[i] + h)
     fine = _REFINE * ((hi - lo) / 1024)
     fine += lo
     fine[-1] = hi
     vals = p(fine)
     vmax = max(vmax, float(np.abs(vals, out=vals).max()))
-    bound = vmax + p.derivative().coefficient_sum * h / 2.0
-    return float(min(bound, p.coefficient_sum))
+    return float(min(vmax + slack, csum))
 
 
 def certified_sup(p: Poly) -> float:

@@ -112,6 +112,12 @@ class Grid:
         """Each axis's :func:`encode_grid_values`, built once for every test."""
         return tuple(encode_grid_values(self.points[:, j]) for j in range(self.dim))
 
+    @functools.cached_property
+    def mask_complement(self) -> BlockEnc:
+        """The first-derivative test's :func:`_mask_complement`, built once
+        for each of its uses."""
+        return _mask_complement(self)
+
     @classmethod
     def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
         """Midpoint-uniform univariate grid; seeded uniform draws per axis
@@ -339,7 +345,7 @@ def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
     contract = be.product_contract(circulant, be.product_contract(m1, hadamard))
     diag = be.diag_from_column(np.roll(v, -1) - v, contract)  # entries diff_i / (2 sqrt(n) P)
     unmasked = be.amplify(diag, 2.0)
-    return be.product(_mask_complement(grid), unmasked)
+    return be.product(grid.mask_complement, unmasked)
 
 
 def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> Verdict:
@@ -357,7 +363,7 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     shifted = be.lcu([be.scale_down(be.identity(n), sqrt_n), m3], [1, -1])
     # zero the masked diagonal entries of the shifted matrix as well, so the
     # wrap-around term cannot pin the spectrum at the threshold
-    comp = _mask_complement(grid)
+    comp = grid.mask_complement
     shifted = be.product(comp, be.product(shifted, comp))
     eps_prime = cfg.eps / (2.0 * sqrt_n)
     if eps_prime == 0.0:

@@ -250,3 +250,30 @@ def test_normalize_subnormalization_depth_is_logarithmic():
     assert e.ledger.count("amplification-uses") > 8
     assert e.ledger.depth_units == d.ledger.depth_units + 8
 
+
+
+def test_normalize_subnormalization_validates_one_encoding(monkeypatch):
+    # the amplified encoding is built once, with its final ledger: amplify's
+    # entries and the input's depth plus log2(N)
+    x = np.linspace(-0.5, 0.5, 16)
+    nrm = np.linalg.norm(x)
+    d = be.diag_from_state(be.encode_state(x / nrm))
+    want = be.amplify(d, nrm)
+    built = []
+    check = BlockEnc.__post_init__
+    monkeypatch.setattr(BlockEnc, "__post_init__", lambda self: built.append(self) or check(self))
+    e = be.normalize_subnormalization(d, nrm)
+    assert len(built) == 1 and built[0] is e
+    assert e.data.tobytes() == want.data.tobytes()
+    assert (e.alpha, e.ancillas, e.eps) == (want.alpha, want.ancillas, want.eps)
+    assert e.ledger.entries == want.ledger.entries
+    assert e.ledger.depth_units == d.ledger.depth_units + 4
+
+
+def test_normalize_subnormalization_keeps_the_amplify_precondition():
+    d = diag_enc([0.6, 0.0])
+    with pytest.raises(ValueError) as want:
+        be.amplify(d, 2.0)
+    with pytest.raises(ValueError) as got:
+        be.normalize_subnormalization(d, 2.0)
+    assert str(got.value) == str(want.value)

@@ -182,6 +182,17 @@ def test_overlap_gadget_matches_dense_reference():
         assert (g.alpha, g.ancillas, g.eps, g.ledger) == (alpha, ancillas, eps, ledger)
 
 
+def test_overlap_gadget_validates_two_encodings(monkeypatch):
+    # the density matrix and the combination; the subtracted I/2 is built
+    # once, on import
+    e, prep = next(_gadget_cases())
+    built = []
+    check = BlockEnc.__post_init__
+    monkeypatch.setattr(BlockEnc, "__post_init__", lambda self: built.append(self) or check(self))
+    g = overlap_gadget(e, prep)
+    assert len(built) == 2 and built[-1] is g
+
+
 def test_overlap_gadget_dimension_mismatch():
     with pytest.raises(ValueError):
         overlap_gadget(diag_enc([0.5, 0.0]), _prep([1.0, 0.0, 0.0, 0.0]))

@@ -14,6 +14,7 @@ from qshape.poly import (
     Poly,
     certified_sup,
     poly_from_json,
+    _end_max,
     _sup_univariate,
     remap_domain,
     scale_domains,
@@ -102,15 +103,71 @@ def _seeded_coeffs(degree: int) -> list[float]:
     return np.random.default_rng(degree).uniform(-1e3, 1e3, size=degree + 1).tolist()
 
 
+_DBL_MAX = float(np.finfo(float).max)
+
+# One case per way _sup_univariate ends, with the number of array
+# evaluations it makes: 0 when an end plus the slack reaches the coefficient
+# sum, 2 when the sample and its refinement run.
+_SUP_BRANCHES = {
+    "positive": ([0.1, 0.2, 0.3], 0),  # the +1 end decides
+    "alternating": ([0.1, -0.2, 0.3, -0.4], 0),  # the -1 end decides
+    "half-t^4": ([0.0, 0.0, 0.0, 0.0, 0.5], 0),  # an end equals the sum
+    "end-within-slack": ([1.0, 1.0, -1e-6], 0),  # the end alone is short of it
+    # p(1) plus the slack is one ulp short of the sum, so the sample runs
+    "end-one-ulp-short": ([1.0, float.fromhex("0x1.ffdffffefffb0p-8"), -(2.0**-20)], 2),
+    # the sample decides: p(+-1) round below 1 = fl(1 + 1e-16), p(0) does not
+    "sample-decides": ([1.0, 0.0, 0.0, 0.0, -1e-16], 2),
+    # a finite sum, but Horner's (2^969 + 2^969) + DBL_MAX overflows at x = 1
+    "infinite-samples": ([_DBL_MAX, 2.0**969, 2.0**969], 0),
+    "infinite-sum": ([1e308, 1e308], 2),
+    # an infinite coefficient makes p(0) NaN, and so the sup
+    "infinite-coefficient": ([1.0, math.inf], 2),
+    # the sample is linspace(-1, 1, 4101), and h is its step
+    "degree-410": ([1.0] * 410 + [-1e-9], 0),
+}
+
+
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=31))
 @settings(max_examples=150, deadline=None)
 # past degree 409 the sample is linspace(-1, 1, 10 d + 1), not the shared one
 @example(_seeded_coeffs(410))
 @example(_seeded_coeffs(600))
+@example(_SUP_BRANCHES["positive"][0])
+@example(_SUP_BRANCHES["alternating"][0])
+@example(_SUP_BRANCHES["half-t^4"][0])
+@example(_SUP_BRANCHES["end-within-slack"][0])
+@example(_SUP_BRANCHES["end-one-ulp-short"][0])
+@example(_SUP_BRANCHES["sample-decides"][0])
+@example(_SUP_BRANCHES["infinite-samples"][0])
+@example(_SUP_BRANCHES["infinite-sum"][0])
+@example(_SUP_BRANCHES["infinite-coefficient"][0])
+@example(_SUP_BRANCHES["degree-410"][0])
 def test_certified_sup_matches_reference(coeffs):
-    p = Poly(coeffs)  # degree <= 30, and the two examples
-    assert certified_sup(p).hex() == _reference_sup_univariate(p).hex()
+    p = Poly(coeffs)  # degree <= 30, and the examples
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert certified_sup(p).hex() == _reference_sup_univariate(p).hex()
+
+
+@pytest.mark.parametrize("coeffs, evaluations", _SUP_BRANCHES.values(), ids=_SUP_BRANCHES.keys())
+def test_certified_sup_samples_only_when_needed(coeffs, evaluations, monkeypatch):
+    p = Poly(coeffs)
+    seen = []
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda self, x: seen.append(np.size(x)) or call(self, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sup_univariate.__wrapped__(p)
+    assert len(seen) == evaluations
+    assert seen[:1] in ([], [max(10 * p.degree + 1, 4097)])
+
+
+def test_end_shortcut_is_the_horner_kernel():
+    sample = np.linspace(-1.0, 1.0, 4097)
+    for coeffs, _ in _SUP_BRANCHES.values():
+        p = Poly(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.abs(p(sample[[0, -1]]))
+        assert _end_max(p.coeffs).hex() == float(ends.max()).hex()
 
 
 # numpy.polynomial versions of the Poly kernels, as the kernels were first
@@ -164,6 +221,24 @@ def test_kernels_match_numpy_polynomial_bit_for_bit(coeffs, c, w, xs):
         got, want = p(x0), _reference_call(p, x0)
         assert type(got) is type(want) and np.shape(got) == ()
         assert _bits(got) == _bits(want)
+
+
+def test_each_polynomial_is_differentiated_once():
+    f = Poly([0.3, -0.7, 0.2, 0.9])
+    assert f.derivative() is f.derivative()
+    assert f.derivative(2) is f.derivative().derivative()
+    assert f.derivative(0) is f
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_derivative_keeps_its_own_signed_zero(first):
+    # equal polynomials, so a cache keyed on equality would mix the two up
+    a, b = Poly([first]), Poly([-first])
+    assert a == b
+    for p in (a, b, a):
+        sign = math.copysign(1.0, p.coeffs[0])
+        for order in (1, 2):
+            assert math.copysign(1.0, p.derivative(order).coeffs[0]) == sign
 
 
 def test_signed_zero_cases():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
+import qshape.tester
 from qshape.blockenc import BlockEnc, ResourceLedger
 from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
 from qshape.oracle import oracle_convex, oracle_monotone
@@ -297,6 +298,17 @@ def test_first_derivative_concave_witness():
     assert b > a
     d1 = Poly([0, 0, -1.0]).derivative()
     assert d1(b) - d1(a) < 0
+
+
+def test_first_derivative_builds_its_mask_once(monkeypatch):
+    builds = []
+    build = qshape.tester._mask_complement
+    monkeypatch.setattr(qshape.tester, "_mask_complement", lambda grid: builds.append(grid) or build(grid))
+    for grid in (Grid.uniform(8), Grid.from_points([-0.4, -0.1, 0.2], pad_to_pow2=True)):
+        builds.clear()
+        v = test_convex_first_derivative(Poly([0, 0, 0.25]), grid, CFG)
+        assert v.outcome == Outcome.CONVEX_ON_GRID
+        assert len(builds) == 1 and builds[0] is grid
 
 
 def test_first_derivative_mixed_curvature():
