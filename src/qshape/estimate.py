@@ -66,6 +66,10 @@ class EstimatorConfig:
         if self.noise_mode == "exact":
             return 0.0
         e = self.eps if eps is None else eps
+        # numpy needs the range high - low = 2e to be finite
+        if not math.isfinite(2.0 * e):
+            raise ValueError(f"eps = {e:.6g} is too large for uniform noise: "
+                             "the draw's range 2 eps overflows")
         rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, salt])
         return float(rng.uniform(-e, e))
 

@@ -118,20 +118,29 @@ class Grid:
         for each of its uses."""
         return _mask_complement(self)
 
+    @functools.cached_property
+    def identity(self) -> BlockEnc:
+        """The identity on the grid's register, for the threshold shifts and
+        the mask."""
+        return be.identity(self.n)
+
+    @functools.cached_property
+    def identity_over_sqrt_n(self) -> BlockEnc:
+        """I/sqrt(n), the first-derivative test's shift."""
+        return be.scale_down(self.identity, math.sqrt(self.n))
+
     @classmethod
     def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
-        """Midpoint-uniform univariate grid; seeded uniform draws per axis
-        for dim > 1."""
+        """Midpoint-uniform univariate grid, one shared instance per n (see
+        :func:`_uniform_grid`); seeded uniform draws per axis for dim > 1."""
         if n < 2:
             raise ValueError("need at least two points")
         if n & (n - 1):
             raise ValueError(f"n = {n} is not a power of two")
         if dim == 1:
-            pts = (-_HALF + (np.arange(n) + 0.5) / n)[:, None]
-        else:
-            rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
-            pts = rng.uniform(-_HALF, _HALF, size=(n, dim))
-        return cls(points=pts, n_original=n)
+            return _uniform_grid(n)
+        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
+        return cls(points=rng.uniform(-_HALF, _HALF, size=(n, dim)), n_original=n)
 
     @classmethod
     def from_points(cls, points, pad_to_pow2: bool = False) -> "Grid":
@@ -147,6 +156,18 @@ class Grid:
         return cls(points=pts, n_original=m)
 
 
+# How many uniform grids and default weight vectors a process keeps.  Each
+# is frozen and holds only read-only arrays, so every caller can share it.
+_INTERNED = 8
+
+
+@functools.lru_cache(maxsize=_INTERNED)
+def _uniform_grid(n: int) -> Grid:
+    """The midpoint-uniform univariate grid of n points.  Interned, so that
+    its encodings, mask and identities are built once per process."""
+    return Grid(points=(-_HALF + (np.arange(n) + 0.5) / n)[:, None], n_original=n)
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Convex weights: nonnegative, summing to one."""
@@ -155,24 +176,34 @@ class WeightVector:
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
-        if lam.flags.writeable:
-            lam = lam.copy()
-            lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
         if not np.isfinite(lam).all():
             raise ValueError("weights must be finite")
-        if np.min(lam) < -1e-15:
+        low = np.min(lam)
+        if low < -1e-15:
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(lam)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
+        if low < 0.0:
+            # a rounding residue below zero is stored as 0.0 (a -0.0 keeps its bytes)
+            lam = np.where(lam < 0.0, 0.0, lam)
+        elif lam.flags.writeable:
+            lam = lam.copy()
+        lam.setflags(write=False)
+        object.__setattr__(self, "lambdas", lam)
 
     @property
     def n(self) -> int:
         return self.lambdas.shape[0]
 
+    @functools.cached_property
+    def sqrt_state(self) -> be.StatePrep:
+        """|sqrt(lambda)>, the state through which Jensen reads its gadgets."""
+        return be.encode_state(np.sqrt(self.lambdas))
+
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.full(n, 1.0 / n))
+        """Equal weights 1/n, one shared instance per n."""
+        return _uniform_weights(n)
 
     @classmethod
     def normalized(cls, raw) -> "WeightVector":
@@ -185,9 +216,17 @@ class WeightVector:
     def padded(self, n: int) -> "WeightVector":
         if n < self.n:
             raise ValueError("cannot pad to a smaller size")
+        if n == self.n:
+            return self
         out = np.zeros(n)
         out[: self.n] = self.lambdas
         return WeightVector(out)
+
+
+@functools.lru_cache(maxsize=_INTERNED)
+def _uniform_weights(n: int) -> WeightVector:
+    """Equal weights 1/n; interned, so that |sqrt(lambda)> is built once."""
+    return WeightVector(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -236,6 +275,8 @@ def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_
     witness ``witness_fn()``, and inside it Inconclusive.  The margin is the
     distance from the band's edge."""
     band = 2.0 * eps
+    if band == math.inf:  # the margin would be -inf
+        raise ValueError(f"eps = {eps:.6g} is too large for a verdict: the band 2 eps overflows")
     below, above = outcomes
     if value < threshold - band:
         outcome = below
@@ -282,7 +323,7 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
             ledger=fam.M2.ledger,
             reason="second derivative is identically zero (degree < 2)",
         )
-    shifted = be.lcu([be.identity(grid.n), fam.M2], [1, -1])
+    shifted = be.lcu([grid.identity, fam.M2], [1, -1])
 
     def lowest_curvature():
         xs = grid.original_points[:, 0]
@@ -306,7 +347,7 @@ def _mask_complement(grid: Grid) -> BlockEnc:
     r[_masked_indices(grid)] = -1.0
     reflection = BlockEnc(r, alpha=1.0, ancillas=0, eps=0.0,
                           ledger=ResourceLedger.of(depth_units=int(round(math.log2(grid.n)))))
-    return be.lcu([be.identity(grid.n), reflection], [1, 1])
+    return be.lcu([grid.identity, reflection], [1, 1])
 
 
 def _check_increasing(grid: Grid):
@@ -358,9 +399,8 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
         raise ValueError("first-derivative test needs at least two grid points")
     bounds = Bounds.from_poly(f)
     m3 = build_M3(f, grid, bounds)
-    n = grid.n
-    sqrt_n = math.sqrt(n)
-    shifted = be.lcu([be.scale_down(be.identity(n), sqrt_n), m3], [1, -1])
+    sqrt_n = math.sqrt(grid.n)
+    shifted = be.lcu([grid.identity_over_sqrt_n, m3], [1, -1])
     # zero the masked diagonal entries of the shifted matrix as well, so the
     # wrap-around term cannot pin the spectrum at the threshold
     comp = grid.mask_complement
@@ -396,7 +436,7 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
     bounds = Bounds.from_poly(f)
     fam = build_M_family(f, grid.axis_encodings[0], bounds)
     m1 = fam.M1 if direction == "increasing" else be.lcu([fam.M1], [-1])
-    shifted = be.lcu([be.identity(grid.n), m1], [1, -1])
+    shifted = be.lcu([grid.identity, m1], [1, -1])
     good = Outcome.MONOTONE_INCREASING if direction == "increasing" else Outcome.MONOTONE_DECREASING
 
     def worst_slope():
@@ -491,7 +531,7 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
     axis encodings, which hold centre_j/4; the right side is the gadget of
     an encoding of f at the grid.
     """
-    sqrt_lam = be.encode_state(np.sqrt(w.lambdas))
+    sqrt_lam = w.sqrt_state
     axes = grid.axis_encodings
     if isinstance(f, MultiPoly):
         m_enc, f_scale = build_multivariate_M(f, axes)

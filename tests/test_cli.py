@@ -73,7 +73,10 @@ def test_method_all(tmp_path):
                          ids=["uniform", "explicit"])
 def test_method_all_encodes_the_grid_once(tmp_path, monkeypatch, grid):
     """The four univariate tests share the grid's one encoding, and each
-    method's entry is the report of that method run alone, to the byte."""
+    method's entry is the report of that method run alone, to the byte.  A
+    uniform grid is shared by every call in the process, so it is encoded
+    once over all five runs; an explicit grid is built anew by each call."""
+    qshape.tester._uniform_grid.cache_clear()
     calls = []
     encode = qshape.tester.encode_grid_values
     monkeypatch.setattr(qshape.tester, "encode_grid_values",
@@ -86,7 +89,46 @@ def test_method_all_encodes_the_grid_once(tmp_path, monkeypatch, grid):
     for r in rep["results"]:
         _, alone = run_cli(tmp_path, prob, "--method", r["method"], *flags)
         assert json.dumps(alone, sort_keys=True, indent=2) == json.dumps(r, sort_keys=True, indent=2)
-    assert len(calls) == 5
+    assert len(calls) == (1 if grid["kind"] == "uniform" else 5)
+
+
+def test_only_uniform_univariate_grids_are_shared_between_calls():
+    box = _box([(0.6, 1.4)], False)
+    uniform = {"grid": {"kind": "uniform", "n": 16}}
+    explicit = {"grid": {"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3]}}
+    assert _build_grid(uniform, 1, box, None, 0) is _build_grid(uniform, 1, box, None, 0)
+    assert _build_grid(explicit, 1, box, None, 0) is not _build_grid(explicit, 1, box, None, 0)
+    box2 = _box([(0.6, 1.4)] * 2, True)
+    assert _build_grid(uniform, 2, box2, None, 0) is not _build_grid(uniform, 2, box2, None, 0)
+
+
+SHARED_GRID_RUNS = [
+    (CUBIC, ("--method", "all", "--seed", "7", "--noise", "uniform", "--eps", "0.001")),
+    (dict(CUBIC, grid={"kind": "uniform", "n": 8}), ("--method", "first-deriv", "--eps", "1e-4")),
+    (dict(CUBIC, grid={"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3, 1.35]}),
+     ("--method", "all")),
+]
+
+
+def test_warm_call_reports_the_bytes_of_a_fresh_process(tmp_path):
+    """A second call in one process reuses the shared grid, weights and
+    encodings; its exit code, stderr and report are those of a fresh
+    interpreter's first call."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for i, (prob, flags) in enumerate(SHARED_GRID_RUNS):
+        argv = ["test", "--input", write(tmp_path, prob, f"problem-{i}.json"), *flags]
+        runs = []
+        for k in range(2):
+            rep = tmp_path / f"warm-{i}-{k}.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--report", str(rep)])
+            runs.append((code, err.getvalue(), rep.read_bytes()))
+        rep = tmp_path / f"fresh-{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "qshape.cli", *argv, "--report", str(rep)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                              timeout=60)
+        assert runs[0] == runs[1] == (proc.returncode, proc.stderr, rep.read_bytes())
 
 
 def test_witness_in_user_coordinates(tmp_path):
@@ -243,6 +285,47 @@ def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: eps = 5e-324 underflows to 0 when divided by 2 sqrt(n) = 5.65685 "
         "for the first-derivative test"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["second-deriv", "monotone", "all"])
+def test_eps_too_large_for_uniform_noise_names_it(tmp_path, capsys, method):
+    prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
+            "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", "1e308", "--noise", "uniform")
+    msg = "eps = 1e+308 is too large for uniform noise: the draw's range 2 eps overflows"
+    assert code == 1
+    if method != "all":
+        assert rep is None and capsys.readouterr().err == f"error: {msg}\n"
+        return
+    # first-deriv draws and decides at eps / (2 sqrt(n)), and still runs; Jensen
+    # draws at eps divided by its scales, then cannot decide at eps
+    band = "eps = 1e+308 is too large for a verdict: the band 2 eps overflows"
+    assert [r.get("error") for r in rep["results"]] == [msg, None, band, msg]
+    assert capsys.readouterr().err == f"error: second-deriv: {msg}; jensen: {band}; monotone: {msg}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["second-deriv", "jensen", "monotone"])
+def test_eps_too_large_for_a_verdict_names_it(tmp_path, capsys, method):
+    # the 2 eps band would overflow, and the margin with it
+    prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
+            "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", "1e308")
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err == (
+        "error: eps = 1e+308 is too large for a verdict: the band 2 eps overflows\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["jensen", "all"])
+def test_weights_rounded_below_zero_read_as_zero(tmp_path, capsys, method):
+    prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
+            "grid": {"kind": "explicit", "points": [-0.4, -0.1, 0.2, 0.4]}}
+    code, rep = run_cli(tmp_path, dict(prob, weights=[0.25, 0.25, 0.5, -1e-15]), "--method", method)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert (code, rep) == run_cli(tmp_path, dict(prob, weights=[0.25, 0.25, 0.5, 0.0]),
+                                  "--method", method)
 
 
 def test_readme_problem_runs(tmp_path):
@@ -869,9 +952,16 @@ def _problems(draw):
         total = sum(raw)
         # normalized when that is possible, and now and then left as drawn
         normalize = total > 0 and draw(st.sampled_from([True] * 6 + [False]))
-        problem["weights"] = [v / total for v in raw] if normalize else raw
+        weights = [v / total for v in raw] if normalize else raw
+        # now and then a rounding residue at or just below zero, its mass
+        # moved to the first weight
+        residue = draw(st.sampled_from([None] * 6 + [-1e-15, -5e-324, -0.0]))
+        if residue is not None and m > 1:
+            weights[0] += weights[-1]
+            weights[-1] = residue
+        problem["weights"] = weights
     flags = ["--method", draw(st.sampled_from(METHODS)),
-             "--eps", repr(draw(st.sampled_from([5e-324, 1e-308, 1e-3, 1.0, 1e300]))),
+             "--eps", repr(draw(st.sampled_from([5e-324, 1e-308, 1e-3, 1.0, 1e300, 1e308]))),
              "--noise", draw(st.sampled_from(["exact", "uniform"])), "--seed", "3"]
     return problem, flags
 
@@ -883,6 +973,9 @@ def _uni(coeffs, **extra):
 
 @given(_problems())
 @example((_uni([0, 0, 1]), ["--eps", "1e-308"]))
+@example((_uni([0, 0, 1]), ["--eps", "1e308", "--noise", "uniform"]))
+@example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.4, -0.1, 0.2, 0.4]},
+               weights=[0.25, 0.25, 0.5, -1e-15]), ["--method", "jensen"]))
 @example((_uni([0] * 339 + [1]), ["--method", "jensen"]))
 @example((_uni([0] * 340 + [1]), ["--method", "all"]))
 @example((_uni([0] * 342 + [1]), ["--method", "jensen"]))

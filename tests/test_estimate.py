@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ def test_largest_eigenvalue_ledger_cost():
 def test_estimators_reject_an_accuracy_a_float_cannot_count(estimate):
     with pytest.raises(ValueError, match="eps = "):
         estimate()
+
+
+def test_uniform_noise_rejects_an_eps_whose_range_overflows():
+    # numpy draws from [-eps, eps] only while its width 2 eps is finite
+    half_max = sys.float_info.max / 2.0
+    for eps in (half_max, math.nextafter(half_max, math.inf), 1e308):
+        cfg = EstimatorConfig(eps=eps, seed=3, noise_mode="uniform")
+        assert EstimatorConfig(eps=eps).draw(11) == 0.0
+        if eps == half_max:
+            assert abs(cfg.draw(11)) <= eps
+            continue
+        with pytest.raises(ValueError) as err:
+            cfg.draw(11)
+        assert str(err.value) == (f"eps = {eps:.6g} is too large for uniform noise: "
+                                  "the draw's range 2 eps overflows")
+        with pytest.raises(ValueError, match="eps = "):
+            largest_eigenvalue(diag_enc([0.5, 0.25]), cfg)
+        with pytest.raises(ValueError, match="eps = "):
+            amplitude_estimate(diag_enc([0.5, 0.25]), EstimatorConfig(noise_mode="uniform"), eps=eps)
 
 
 def test_largest_eigenvalue_noise_within_eps():

@@ -65,6 +65,75 @@ def test_weights_validation():
     w = WeightVector.normalized([1, 3])
     np.testing.assert_allclose(w.lambdas, [0.25, 0.75])
     np.testing.assert_allclose(w.padded(4).lambdas, [0.25, 0.75, 0.0, 0.0])
+    assert w.padded(2) is w
+
+
+def test_weights_store_rounding_below_zero_as_zero():
+    w = WeightVector([0.25, 0.25, 0.5, -1e-15])
+    assert w.lambdas.tolist() == [0.25, 0.25, 0.5, 0.0] and not w.lambdas.flags.writeable
+    assert np.isfinite(w.sqrt_state.state).all()
+    # only entries below zero are replaced: a -0.0 beside one keeps its sign
+    signed_zero = WeightVector([0.5, 0.5, -0.0, -1e-16])
+    assert signed_zero.lambdas.tobytes() == np.array([0.5, 0.5, -0.0, 0.0]).tobytes()
+
+
+def test_uniform_grids_and_weights_are_shared():
+    for n in (2, 8, 512):
+        assert Grid.uniform(n) is Grid.uniform(n)
+        assert WeightVector.uniform(n) is WeightVector.uniform(n)
+    assert Grid.uniform(8) is not Grid.uniform(16)
+    # seeded multivariate draws and explicit grids are built per call
+    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=2, seed=1)
+    assert Grid.from_points([-0.4, 0.1]) is not Grid.from_points([-0.4, 0.1])
+    g, w = Grid.uniform(8), WeightVector.uniform(8)
+    assert g.identity_over_sqrt_n.ledger == be.scale_down(be.identity(8), math.sqrt(8)).ledger
+    assert w.sqrt_state is w.sqrt_state
+    assert w.sqrt_state.state.tobytes() == np.sqrt(w.lambdas).tobytes()
+    # everything a shared grid or weight vector hands out is read-only
+    arrays = [g.points, g.identity.data, g.identity_over_sqrt_n.data, g.mask_complement.data,
+              *(e.data for e in g.axis_encodings), w.lambdas, w.sqrt_state.state]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_calls_on_a_shared_grid_build_its_parts_once(monkeypatch):
+    # the grid encoding, identity, I/sqrt(n) and |sqrt(lambda)> of a uniform
+    # grid and its default weights, over two rounds of all four tests
+    for cache in (qshape.tester._uniform_grid, qshape.tester._uniform_weights):
+        cache.cache_clear()
+    built = {"identity": 0, "encode_state": 0, "scale_down": 0}
+
+    def counting(name):
+        original = getattr(be, name)
+        return lambda *args: built.__setitem__(name, built[name] + 1) or original(*args)
+
+    for name in built:
+        monkeypatch.setattr(be, name, counting(name))
+    f = Poly([0, 0, 0.25])
+    verdicts = []
+    for _ in range(2):
+        grid, w = Grid.uniform(8), WeightVector.uniform(8)
+        verdicts.append([test_convex_second_derivative(f, grid, CFG).ledger,
+                         test_convex_first_derivative(f, grid, CFG).ledger,
+                         test_monotone(f, grid, "increasing", CFG).ledger,
+                         test_convex_jensen(f, grid, w, CFG).ledger])
+    # encode_state: the grid and |sqrt(lambda)>; scale_down: I/sqrt(n), and the
+    # grid encoding's rescaling by |x| < 1
+    assert built == {"identity": 1, "encode_state": 2, "scale_down": 2}
+    assert verdicts[0] == verdicts[1]
+
+
+def test_intern_caches_stay_within_their_bound():
+    for cache in (qshape.tester._uniform_grid, qshape.tester._uniform_weights):
+        cache.cache_clear()
+        assert cache.cache_info().maxsize == qshape.tester._INTERNED
+    sizes = [1 << k for k in range(1, 2 * qshape.tester._INTERNED + 1)]
+    for n in sizes:
+        assert Grid.uniform(n).n == WeightVector.uniform(n).n == n
+    for cache in (qshape.tester._uniform_grid, qshape.tester._uniform_weights):
+        assert cache.cache_info().currsize == qshape.tester._INTERNED
+    # an evicted size is rebuilt with the same points
+    again = Grid.uniform(sizes[0])
+    assert again.points.tobytes() == (-0.5 + (np.arange(2) + 0.5) / 2)[:, None].tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -301,14 +370,21 @@ def test_first_derivative_concave_witness():
 
 
 def test_first_derivative_builds_its_mask_once(monkeypatch):
+    # once per grid for its three uses in a call, and once over the calls
+    # that share the grid: a uniform grid fetched again is the same grid
+    qshape.tester._uniform_grid.cache_clear()
     builds = []
     build = qshape.tester._mask_complement
     monkeypatch.setattr(qshape.tester, "_mask_complement", lambda grid: builds.append(grid) or build(grid))
-    for grid in (Grid.uniform(8), Grid.from_points([-0.4, -0.1, 0.2], pad_to_pow2=True)):
+    explicit = Grid.from_points([-0.4, -0.1, 0.2], pad_to_pow2=True)
+    for fetch in (lambda: Grid.uniform(8), lambda: explicit):
         builds.clear()
-        v = test_convex_first_derivative(Poly([0, 0, 0.25]), grid, CFG)
-        assert v.outcome == Outcome.CONVEX_ON_GRID
-        assert len(builds) == 1 and builds[0] is grid
+        grids = [fetch(), fetch()]
+        for grid in grids:
+            v = test_convex_first_derivative(Poly([0, 0, 0.25]), grid, CFG)
+            assert v.outcome == Outcome.CONVEX_ON_GRID
+        assert grids[0] is grids[1]
+        assert len(builds) == 1 and builds[0] is grids[0]
 
 
 def test_first_derivative_mixed_curvature():
