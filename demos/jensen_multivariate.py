@@ -1,9 +1,10 @@
 """Multivariate Jensen testing.
 
-Per-axis diagonal encodings are raised to monomial powers, multiplied
-across axes, weighted by coefficients, and combined into one diagonal
-encoding of f(x_j)/(K*C); the tracked correction K*C (and the gadget's 1/4
-powers) is undone at estimation time.
+Per-axis diagonal encodings are raised to powers of the box coordinate
+x_j = c_j + w_j t_j (here the working domain itself, so x = t), multiplied
+across axes, each term scaled once against the largest, and combined into
+one diagonal encoding of f(x)/(K*C); the tracked correction K*C is undone
+at estimation time, on the grid and on the Jensen gadgets alike.
 """
 
 import numpy as np

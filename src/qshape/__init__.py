@@ -9,7 +9,7 @@ resource accounting and a brute-force oracle for cross-checking.
 from .blockenc import BlockEnc, ResourceLedger, StatePrep
 from .estimate import EstimatorConfig, amplitude_estimate, largest_eigenvalue, overlap_gadget
 from .oracle import OracleResult, oracle_convex, oracle_monotone
-from .poly import Bounds, MultiPoly, Poly, certified_sup, poly_from_json, remap_domain, scale_domains
+from .poly import Bounds, MultiPoly, Poly, certified_sup, poly_from_json, remap_domain
 from .qsvt import MFamily, build_M_family, transform
 from .tester import (
     Grid,
@@ -42,7 +42,6 @@ __all__ = [
     "certified_sup",
     "poly_from_json",
     "remap_domain",
-    "scale_domains",
     "MFamily",
     "build_M_family",
     "transform",

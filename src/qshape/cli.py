@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimate import EstimatorConfig
 from .oracle import oracle_convex, oracle_monotone
-from .poly import MultiPoly, poly_from_json, remap_domain, scale_domains
+from .poly import MultiPoly, poly_from_json, remap_domain
 from .tester import (
     Grid,
     Outcome,
@@ -124,14 +124,16 @@ def _box(domains, multi: bool):
 
 
 def _to_user(t, box):
-    """A point, or a sequence of univariate points, in user coordinates."""
+    """A point, or a sequence of univariate points, in user coordinates;
+    a box of None means they already are."""
+    if box is None:
+        return np.asarray(t).tolist()
     centre, width = box
     return (centre + width * np.asarray(t)).tolist()
 
 
-def _build_grid(obj: dict, dim: int, box, n_flag, seed: int, scale=None) -> Grid:
-    """The problem's grid in working coordinates t, or, given a ``"multi"``
-    polynomial's axis scales, in u = x/s, where its scaled terms read it."""
+def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
+    """The problem's grid in working coordinates t."""
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
     if not isinstance(spec, dict):
         raise InputError("'grid' must be an object with a 'kind' field")
@@ -144,11 +146,7 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int, scale=None) -> Grid
             padded = 1 << (n - 1).bit_length()
             _warn(f"grid size {n} is not a power of two; using {padded}")
             n = padded
-        grid = Grid.uniform(n, dim=dim, seed=seed)
-        if scale is None:
-            return grid
-        centre, width = box  # x = c + w t, so u = c/s + (w/s) t
-        return Grid(centre / scale + (width / scale) * grid.points, grid.n_original)
+        return Grid.uniform(n, dim=dim, seed=seed)
     if kind == "explicit":
         pts = _finite_array(spec.get("points"), "explicit grid points")
         if pts.ndim == 1:
@@ -168,8 +166,7 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int, scale=None) -> Grid
         m = pts.shape[0]
         if m & (m - 1):
             _warn(f"{m} points is not a power of two; padding by repeating the last point")
-        # straight to u = x/s, so that a point at x_j = 0 is exactly 0 whatever the box
-        return Grid.from_points(working if scale is None else pts / scale, pad_to_pow2=True)
+        return Grid.from_points(working, pad_to_pow2=True)
     raise InputError(f"unknown grid kind {kind!r}")
 
 
@@ -201,6 +198,7 @@ def _witness_to_user(witness, box, method: str):
 def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfig,
                 direction: str, box, oracle_check: bool) -> dict:
     pts = grid.original_points
+    multi = isinstance(f, MultiPoly)
     if method == "second-deriv":
         verdict = test_convex_second_derivative(f, grid, cfg)
         oracle = lambda: oracle_convex(f, pts, mode="second")
@@ -208,7 +206,10 @@ def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfi
         verdict = test_convex_first_derivative(f, grid, cfg)
         oracle = lambda: oracle_convex(f, pts, mode="first")
     elif method == "jensen":
-        verdict = test_convex_jensen(f, grid, w, cfg)
+        verdict = test_convex_jensen(f, grid, w, cfg, box if multi else None)
+        if multi:  # the user's own polynomial, so the oracle reads the user's points
+            centre, width = box
+            pts = centre + width * pts
         oracle = lambda: oracle_convex(f, pts, weights=w.lambdas[: grid.n_original])
     else:
         verdict = test_monotone(f, grid, direction, cfg)
@@ -233,7 +234,7 @@ def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfi
         res = oracle()
         report["oracle"] = {
             "verdict": res.verdict,
-            "witness": _witness_to_user(res.witness, box, method),
+            "witness": _witness_to_user(res.witness, None if multi else box, method),
             "details": res.details,
         }
         if verdict.outcome != Outcome.INCONCLUSIVE:
@@ -253,13 +254,9 @@ def run(args) -> int:
         dim = f_raw.dim if multi else 1
         domains = _domains(problem, dim)
         box = _box(domains, multi)
-        if multi:
-            f, scale = scale_domains(f_raw, domains)
-        else:
-            f, _scale = remap_domain(f_raw, *domains[0])
-        grid = _build_grid(problem, dim, box, args.n, seed, scale if multi else None)
-        if multi:
-            box = (0.0, scale)  # takes every witness from u back to x
+        # a "multi" polynomial keeps the user's terms, and Jensen reads it on the box
+        f = f_raw if multi else remap_domain(f_raw, *domains[0])[0]
+        grid = _build_grid(problem, dim, box, args.n, seed)
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
             raise InputError("--eps must be positive and finite")

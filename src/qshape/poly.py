@@ -1,5 +1,6 @@
-"""Polynomial representations: derivatives, evaluation, the maps of a user's
-domain onto the working domain, and certified sup-norm bounds.
+"""Polynomial representations: derivatives, evaluation, the map of a
+univariate polynomial's domain onto the working domain, and certified
+sup-norm bounds.
 
 All bounds are *certified*: the returned value is guaranteed to be an upper
 bound on the true supremum (dense sampling plus a derivative-based slack,
@@ -21,7 +22,6 @@ __all__ = [
     "Bounds",
     "certified_sup",
     "remap_domain",
-    "scale_domains",
     "poly_from_json",
 ]
 
@@ -247,37 +247,6 @@ def remap_domain(p: Poly, a: float, b: float) -> tuple[Poly, float]:
     if not (math.isfinite(s) and np.isfinite(q.coeffs).all()):
         raise ValueError(f"coefficients overflow when [{a}, {b}] is remapped onto the working domain")
     return q, s
-
-
-def scale_domains(p: MultiPoly, domains) -> tuple[MultiPoly, np.ndarray]:
-    """Per-axis scaling x = s*u of p, with s_j = 2 max(|a_j|, |b_j|), which
-    puts the box of [a_j, b_j] intervals inside the working domain
-    [-1/2, 1/2]^dim.
-
-    Returns (q, s) with q(u) = p(s*u).  q keeps p's terms and exponents;
-    each coefficient a becomes a * prod_j s_j**k_j, multiplied in axis
-    order.  On a centred box [-h, h], s = 2h is the box's width, so q is
-    the affine remap of p onto the working domain.
-    """
-    domains = [tuple(map(float, ab)) for ab in domains]
-    s = [2.0 * max(abs(lo), abs(hi)) for lo, hi in domains]
-    if not all(map(math.isfinite, s)):
-        raise ValueError(f"domain {domains} is too wide: 2 max(|a|, |b|) overflows on an axis")
-    overflow = f"coefficients overflow when {domains} is remapped onto the working domain"
-    terms = []
-    for a, k in p.terms:
-        for sj, kj in zip(s, k, strict=True):
-            try:
-                a *= sj**kj
-            except OverflowError:  # raised by a float power out of range
-                raise ValueError(overflow) from None
-        terms.append((a, k))
-    q = MultiPoly(terms, p.dim)
-    # the Jensen correction grows with this sum, so it must stay finite too,
-    # not only each term
-    if not math.isfinite(q.coefficient_sum):
-        raise ValueError(overflow)
-    return q, np.array(s)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _HALF = 0.5
+# the largest |t| a grid point or a Jensen centre may hold
+_REACH = _HALF + 1e-9
 
 # stable per-call-site noise salts (report determinism)
 _SALT_SECOND = 11
@@ -80,7 +82,7 @@ class Grid:
             pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         # written so that NaN coordinates fail it too
-        if not np.max(np.abs(pts)) <= _HALF + 1e-9:
+        if not np.max(np.abs(pts)) <= _REACH:
             raise ValueError("grid coordinates must lie in [-1/2, 1/2]")
         n = pts.shape[0]
         if n & (n - 1):
@@ -252,9 +254,8 @@ def encode_grid_values(values: np.ndarray) -> BlockEnc:
     v = np.asarray(values, dtype=float)
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
-        raise ValueError("cannot encode a grid whose points all sit at working coordinate 0 "
-                         "along an axis: the domain's centre for a univariate polynomial, "
-                         "x_j = 0 for a multivariate one")
+        raise ValueError("cannot encode a grid whose points all sit at the domain's centre "
+                         "(working coordinate 0) along an axis")
     prep = be.encode_state(v / nrm)
     diag = be.diag_from_state(prep)
     return be.normalize_subnormalization(diag, nrm)
@@ -455,18 +456,27 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
 
 _MAX_EXPONENT = 12
 _MAX_TERMS = 64
+_BOX_OVERFLOW = ("coefficients overflow on this box: a term's |a prod_j M_j^k_j| is not finite, "
+                 "where M_j = |c_j| + w_j/v is the largest |x_j| its powers read")
 
 
-def build_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0) -> tuple[BlockEnc, float]:
-    """Diagonal encoding with entries f(x_j) / correction from per-axis
-    diagonal encodings, via per-axis power transforms, cross-axis products,
-    coefficient insertion, and a final linear combination.
+def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
+                         value_scale: float = 1.0) -> tuple[BlockEnc, float]:
+    """Diagonal encoding with entries f(x)/correction at the points
+    x_j = c_j + w_j t_j of a box, from per-axis diagonal encodings whose
+    entries are v t_j, v = ``value_scale`` (1 for a grid's axis encodings,
+    GADGET_FACTOR for the Jensen gadgets).
 
-    ``value_scale`` is the known factor by which the axis encodings'
-    entries understate the true values (1/4 for gadget-derived inputs);
-    the per-term powers of that factor are equalized by scaling so the
-    combination still encodes f, and the returned correction
-    K * C / value_scale**L undoes everything at estimation time.
+    ``box`` is the pair (centres c, widths w); None is the working domain
+    itself (c = 0, w = 1, so x = t).  Each (axis, exponent) power is built
+    once, as one transform of P(y) = ((c_j + w_j y/v)/M_j)^k / 2 with
+    M_j = |c_j| + w_j/v, its sup over y in [-1, 1], and amplified by 2
+    wherever the box keeps ((|c_j| + w_j/2)/M_j)^k within 3/4.  On a
+    centred box P is y^k/2, and exponent 1 is the axis encoding itself.
+    Each term is a product of powers scaled once, against the largest
+    weight C: a term's weight is |a prod_j M_j^k_j|, doubled for each of
+    its unamplified powers.  The returned correction K*C, for K combined
+    terms, undoes everything at estimation time.
     """
     axis_encodings = list(axis_encodings)
     if len(axis_encodings) != f.dim:
@@ -481,62 +491,77 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0)
             raise ValueError("axis encodings must share a dimension")
         if abs(e.alpha - 1.0) > 1e-12:
             raise ValueError("axis encodings must be normalized to alpha = 1")
-    coeffs = np.array([a for a, _ in f.terms])
-    c_norm = float(np.max(np.abs(coeffs)))
-    if c_norm == 0.0:
-        zero = BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0)
-        return zero, 1.0
-    total_degrees = [sum(k) for _, k in f.terms]
-    l_max = max(total_degrees)
-    # each (axis, exponent) power is built once and reused; product merges
-    # its ledger at every use, so every use is still charged
-    powers = {(j, 1): e for j, e in enumerate(axis_encodings)}
-    term_encodings = []
-    signs = []
-    for (a, k), tot in zip(f.terms, total_degrees):
-        cur = None
+    centres, widths = (np.zeros(f.dim), np.ones(f.dim)) if box is None else box
+    # Python floats: a float power out of range raises, where numpy's warns
+    axes = [(float(c), float(w), abs(float(c)) + float(w) / value_scale) for c, w in zip(centres, widths)]
+    if len(axes) != f.dim:
+        raise ValueError("one box interval per variable required")
+
+    @functools.cache
+    def power(j: int, k: int) -> tuple[BlockEnc, float]:
+        """(x_j/M_j)^k as an encoding, and the factor 1 or 2 by which its
+        entries understate it."""
+        c, w, m = axes[j]
+        if c == 0.0 and k == 1:
+            return axis_encodings[j], 1.0
+        alpha, beta = c / m, w / (value_scale * m)
+        pw = transform(axis_encodings[j], Poly([0.5 * math.comb(k, i) * alpha ** (k - i) * beta**i
+                                                for i in range(k + 1)]))
+        if ((abs(c) + w * _REACH) / m) ** k <= 0.75:
+            return be.amplify(pw, 2.0), 1.0
+        return pw, 2.0
+
+    weights, products, signs = [], [], []
+    for a, k in f.terms:
+        weight, cur = a, None
         for j, kj in enumerate(k):
-            if kj == 0:
-                continue
-            pw = powers.get((j, kj))
-            if pw is None:
-                mono = Poly([0.0] * kj + [0.5])  # t^kj / 2
-                pw = powers[j, kj] = be.amplify(transform(axis_encodings[j], mono), 2.0)
-            cur = pw if cur is None else be.product(cur, pw)
-        if cur is None:
-            cur = be.identity(n)
-        if tot < l_max and value_scale != 1.0:
-            cur = be.scale_down(cur, (1.0 / value_scale) ** (l_max - tot))
-        if abs(a) < c_norm:
-            cur = be.scale_down(cur, c_norm / abs(a))
-        term_encodings.append(cur)
-        signs.append(1 if a > 0 else -1)
-    combined = be.lcu(term_encodings, signs)
-    correction = f.term_count * c_norm / value_scale**l_max
+            try:
+                weight *= axes[j][2] ** kj
+            except OverflowError:  # raised by a float power out of range
+                raise ValueError(_BOX_OVERFLOW) from None
+            if kj:
+                pw, understated = power(j, kj)
+                weight *= understated
+                cur = pw if cur is None else be.product(cur, pw)
+        if not math.isfinite(weight):  # inf, or NaN where an underflow meets it
+            raise ValueError(_BOX_OVERFLOW)
+        if weight != 0.0:  # a weight that underflows drops its term, as a zero coefficient would
+            weights.append(abs(weight))
+            products.append(be.identity(n) if cur is None else cur)
+            signs.append(1 if a > 0 else -1)
+    if not weights:
+        return BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0), 1.0
+    c_max = max(weights)
+    correction = len(weights) * c_max
+    if not math.isfinite(correction):
+        raise ValueError(_BOX_OVERFLOW)
+    combined = be.lcu([p if wt == c_max else be.scale_down(p, c_max / wt)
+                       for p, wt in zip(products, weights)], signs)
     return combined, correction
 
 
 def _jensen_center(grid: Grid, w: WeightVector) -> np.ndarray:
     center = w.lambdas @ grid.points
-    if np.max(np.abs(center)) > _HALF + 1e-9:
+    if np.max(np.abs(center)) > _REACH:
         raise ValueError("weighted combination of grid points leaves the working domain")
     return center
 
 
-def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
+def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=None):
     """Both sides of Jensen's inequality, each from an overlap gadget.
 
     The gadget over an encoding E and |sqrt(lambda)> encodes
     (sum_i lambda_i E_ii)/4.  The left side encodes f at the gadgets of the
     axis encodings, which hold centre_j/4; the right side is the gadget of
-    an encoding of f at the grid.
+    an encoding of f at the grid.  A multivariate f reads both through the
+    box map of ``box`` (see :func:`build_multivariate_M`).
     """
     sqrt_lam = w.sqrt_state
     axes = grid.axis_encodings
     if isinstance(f, MultiPoly):
-        m_enc, f_scale = build_multivariate_M(f, axes)
+        m_enc, f_scale = build_multivariate_M(f, axes, box)
         lhs_enc, lhs_scale = build_multivariate_M(
-            f, [overlap_gadget(e, sqrt_lam) for e in axes], value_scale=GADGET_FACTOR)
+            f, [overlap_gadget(e, sqrt_lam) for e in axes], box, GADGET_FACTOR)
     else:
         f_scale = Bounds.from_poly(f).f_sup
         m_enc = transform(axes[0], f.scaled(f_scale))
@@ -558,9 +583,14 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig):
     return a_lhs.value * lhs_scale, a_rhs.value * rhs_scale, ledger, scales
 
 
-def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig) -> Verdict:
+def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=None) -> Verdict:
     """Estimate both sides of Jensen's inequality at the weighted grid points
     and decide them with :func:`_verdict`.
+
+    A multivariate f is the user's own polynomial in x, read on the box
+    (centres c, widths w) at x_j = c_j + w_j t_j of the grid's working
+    coordinates t; None is the working domain itself, where x = t.  A
+    univariate f is already in working coordinates and takes no box.
 
     A violation is a certificate of non-convexity; consistency is reported
     as convexity evidence for this weight/grid collection only (the
@@ -577,7 +607,9 @@ def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig) -> 
             raise ValueError("polynomial dimension must match the grid")
     elif grid.dim != 1:
         raise ValueError("univariate Jensen test requires a univariate grid")
-    lhs, rhs, ledger, scales = _jensen_estimates(f, grid, w, cfg)
+    elif box is not None:
+        raise ValueError("a univariate polynomial is read in working coordinates and takes no box")
+    lhs, rhs, ledger, scales = _jensen_estimates(f, grid, w, cfg, box)
 
     def violated_at():
         return {"center": [float(v) for v in center], "lambdas": [float(v) for v in w.lambdas]}

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
@@ -590,38 +591,56 @@ def test_multivariate_encoding_coefficients():
     np.testing.assert_allclose(e.data * corr, f(pts), atol=1e-12)
 
 
-def _reference_multivariate_M(f: MultiPoly, axis_encodings, value_scale: float = 1.0):
-    """build_multivariate_M with every term building its own powers, as it
-    did before powers were reused within one build."""
+def _reference_multivariate_M(f: MultiPoly, axis_encodings, box=None, value_scale: float = 1.0):
+    """build_multivariate_M with every term building its own powers, in
+    Python floats: per use, one transform of ((c + w y/v)/M)^k / 2 with
+    M = |c| + w/v, amplified by 2 where ((|c| + w/2)/M)^k <= 3/4 (at the
+    grid's 1e-9 tolerance) and otherwise doubling the term's weight
+    |a prod M^k|; then each term scaled once against the largest weight."""
     n = axis_encodings[0].dim
-    c_norm = float(np.max(np.abs([a for a, _ in f.terms])))
-    l_max = max(sum(k) for _, k in f.terms)
-    term_encodings, signs = [], []
+    centres, widths = box if box is not None else ([0.0] * f.dim, [1.0] * f.dim)
+    terms = []
     for a, k in f.terms:
-        cur = None
+        weight, cur = a, None
         for j, kj in enumerate(k):
+            c, w = float(centres[j]), float(widths[j])
+            m = abs(c) + w / value_scale
+            weight *= m**kj
             if kj == 0:
                 continue
-            if kj == 1:
+            if c == 0.0 and kj == 1:
                 pw = axis_encodings[j]
             else:
-                pw = be.amplify(transform(axis_encodings[j], Poly([0.0] * kj + [0.5])), 2.0)
+                coeffs = [0.5 * math.comb(kj, i) * (c / m) ** (kj - i) * (w / (value_scale * m)) ** i
+                          for i in range(kj + 1)]
+                pw = transform(axis_encodings[j], Poly(coeffs))
+                if ((abs(c) + w * (0.5 + 1e-9)) / m) ** kj <= 0.75:
+                    pw = be.amplify(pw, 2.0)
+                else:
+                    weight *= 2.0
             cur = pw if cur is None else be.product(cur, pw)
-        if cur is None:
-            cur = be.identity(n)
-        if sum(k) < l_max and value_scale != 1.0:
-            cur = be.scale_down(cur, (1.0 / value_scale) ** (l_max - sum(k)))
-        if abs(a) < c_norm:
-            cur = be.scale_down(cur, c_norm / abs(a))
-        term_encodings.append(cur)
-        signs.append(1 if a > 0 else -1)
-    return be.lcu(term_encodings, signs), f.term_count * c_norm / value_scale**l_max
+        terms.append((abs(weight), 1 if a > 0 else -1, be.identity(n) if cur is None else cur))
+    c_max = max(wt for wt, _, _ in terms)
+    scaled = [e if wt == c_max else be.scale_down(e, c_max / wt) for wt, _, e in terms]
+    return be.lcu(scaled, [sign for _, sign, _ in terms]), len(terms) * c_max
+
+
+def _random_box(rng, i, dim):
+    """Centred, off-centre, and narrow far boxes (where no power of degree
+    above 1 is amplified on the grid side)."""
+    widths = rng.uniform(0.2, 3.0, size=dim)
+    if i % 3 == 0:
+        return np.zeros(dim), widths
+    if i % 3 == 1:
+        return rng.uniform(-3.0, 3.0, size=dim), widths
+    return rng.choice([-1.0, 1.0], size=dim) * 10 ** rng.uniform(1, 3, size=dim), 10 ** rng.uniform(-2, 0, size=dim)
 
 
 def _multivariate_builds():
     """Random 1-3 axis polynomials with few distinct exponents, so powers
     repeat across terms, each on plain axis encodings (value_scale 1) and
-    on the Jensen gadgets (value_scale 1/4)."""
+    on the Jensen gadgets (value_scale 1/4), in the working domain and on a
+    random box."""
     rng = np.random.default_rng(1806)
     for i in range(16):
         dim = 1 + i % 3
@@ -630,17 +649,20 @@ def _multivariate_builds():
         f = MultiPoly(terms, dim)
         grid = Grid.uniform(16, dim=dim, seed=i)
         axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(dim)]
-        yield f"plain-{i}", f, axis_encs, 1.0
         sqrt_lam = be.encode_state(np.sqrt(WeightVector.uniform(grid.n).lambdas))
         gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
-        yield f"gadget-{i}", f, gadgets, 0.25
+        box = _random_box(rng, i, dim)
+        yield f"plain-{i}", f, axis_encs, None, 1.0
+        yield f"gadget-{i}", f, gadgets, None, 0.25
+        yield f"box-plain-{i}", f, axis_encs, box, 1.0
+        yield f"box-gadget-{i}", f, gadgets, box, 0.25
 
 
-@pytest.mark.parametrize("f, encs, value_scale", [c[1:] for c in _multivariate_builds()],
+@pytest.mark.parametrize("f, encs, box, value_scale", [c[1:] for c in _multivariate_builds()],
                          ids=[c[0] for c in _multivariate_builds()])
-def test_multivariate_encoding_matches_per_term_build(f, encs, value_scale):
-    e, corr = build_multivariate_M(f, encs, value_scale=value_scale)
-    ref, ref_corr = _reference_multivariate_M(f, encs, value_scale)
+def test_multivariate_encoding_matches_per_term_build(f, encs, box, value_scale):
+    e, corr = build_multivariate_M(f, encs, box, value_scale)
+    ref, ref_corr = _reference_multivariate_M(f, encs, box, value_scale)
     assert e.data.tobytes() == ref.data.tobytes()
     assert (e.alpha.hex(), e.ancillas, e.eps.hex()) == (ref.alpha.hex(), ref.ancillas, ref.eps.hex())
     assert e.ledger == ref.ledger
@@ -656,12 +678,124 @@ def test_multivariate_encoding_builds_each_power_once(monkeypatch):
 
     monkeypatch.setattr("qshape.tester.transform", counting_transform)
     reused = 0
-    for _, f, encs, value_scale in _multivariate_builds():
+    for _, f, encs, box, value_scale in _multivariate_builds():
         calls.clear()
-        build_multivariate_M(f, encs, value_scale=value_scale)
-        assert len(calls) == len({(j, kj) for _, k in f.terms for j, kj in enumerate(k) if kj >= 2})
-        reused += sum(kj >= 2 for _, k in f.terms for kj in k) - len(calls)
+        build_multivariate_M(f, encs, box, value_scale)
+        centres = np.zeros(f.dim) if box is None else box[0]
+        # every power is a transform, but for exponent 1 on a centred axis
+        uses = [(j, kj) for _, k in f.terms for j, kj in enumerate(k)
+                if kj >= 2 or (kj == 1 and centres[j] != 0.0)]
+        assert len(calls) == len(set(uses))
+        reused += len(uses) - len(calls)
     assert reused > 0  # the cases do repeat powers across terms
+
+
+def _reference_correction(f: MultiPoly, box, value_scale: float):
+    """The correction K*C of the rule the build follows, term by term and
+    axis by axis in Python floats, or None where the box overflows: a term
+    weight is a prod_j M_j^k_j, doubled for each power that the box does
+    not let be amplified; terms whose weight underflows to 0 drop out."""
+    weights = []
+    for a, k in f.terms:
+        weight = a
+        for c, w, kj in zip(*box, k):
+            m = abs(c) + w / value_scale
+            try:
+                weight *= m**kj
+            except OverflowError:
+                return None
+            if kj and not (c == 0.0 and kj == 1) and ((abs(c) + w * (0.5 + 1e-9)) / m) ** kj > 0.75:
+                weight *= 2.0
+        if not math.isfinite(weight):
+            return None
+        if weight != 0.0:
+            weights.append(abs(weight))
+    if not weights:
+        return 1.0
+    correction = len(weights) * max(weights)
+    return correction if math.isfinite(correction) else None
+
+
+@st.composite
+def _box_cases(draw):
+    """dim 1-3, exponents <= 6, huge and subnormal coefficients, centred,
+    off-centre and overflowing boxes, on either side of Jensen."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coeff = st.one_of(st.sampled_from([1e308, -1e308, 5e-324]),
+                      st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=6)] * dim)
+    f = MultiPoly(draw(st.lists(st.tuples(coeff, exponents), min_size=1, max_size=8)), dim)
+    centres, widths = [], []
+    for _ in range(dim):
+        centred = draw(st.booleans())
+        centres.append(0.0 if centred else draw(st.one_of(
+            st.floats(min_value=-10.0, max_value=10.0), st.sampled_from([-1e200, 1e150, 1e3]))))
+        widths.append(draw(st.one_of(st.floats(min_value=1e-3, max_value=20.0),
+                                     st.sampled_from([1e-300, 1e-2, 1e200, 1.7e308]))))
+    return f, (centres, widths), draw(st.sampled_from([1.0, 0.25]))
+
+
+@given(_box_cases())
+# products that overflow; an M whose power overflows; a term that overflows
+# on one axis and underflows on the next; an M that overflows on an axis no
+# term uses, and on one a term uses
+@example((MultiPoly(((1e308, (2, 0)), (1e308, (0, 1))), 2), ([2.0, 2.0], [4.0, 4.0]), 1.0))
+@example((MultiPoly(((1.0, (3, 0)),), 2), ([1.5e200, 2.0], [1e200, 4.0]), 1.0))
+@example((MultiPoly(((1e300, (1, 6)),), 2), ([0.0, 0.0], [2e200, 2e-60]), 1.0))
+@example((MultiPoly(((1.0, (1, 0)),), 2), ([0.5, -4.5e307], [1.0, 1.1e308]), 0.25))
+@example((MultiPoly(((1.0, (0, 1)),), 2), ([0.5, -4.5e307], [1.0, 1.1e308]), 0.25))
+@settings(max_examples=300, deadline=None)
+def test_multivariate_box_weights_match_per_term_reference(case):
+    """The build fails closed, with one named error, exactly where the rule
+    overflows, and otherwise returns the rule's correction bit for bit."""
+    f, box, value_scale = case
+    t = np.array([-0.5, -0.1, 0.2, 0.5])
+    encs = [BlockEnc(value_scale * np.roll(t, j), alpha=1.0, ancillas=0, eps=0.0) for j in range(f.dim)]
+    want = _reference_correction(f, box, value_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(ValueError, match="^coefficients overflow on this box: "):
+                build_multivariate_M(f, encs, box, value_scale)
+            return
+        _, correction = build_multivariate_M(f, encs, box, value_scale)
+    assert correction.hex() == want.hex()
+
+
+def test_multivariate_encoding_scales_each_term_at_most_once():
+    """On encodings whose own ledgers hold no scaling, the encoding's
+    scalings count is at most its term count, on both sides of Jensen and
+    on every kind of box."""
+    for i, (_, f, encs, box, value_scale) in enumerate(_multivariate_builds()):
+        bare = [BlockEnc(e.data, alpha=1.0, ancillas=0, eps=0.0) for e in encs]
+        e, _ = build_multivariate_M(f, bare, box, value_scale)
+        assert e.ledger.count("scalings") <= f.term_count
+
+
+def test_multivariate_jensen_scales_on_centred_boxes():
+    """On a centred box every power is amplified, so the right side's scale
+    is 4 K max|a prod w^k| and the left side's at most 4^L times less the 4."""
+    rng = np.random.default_rng(2503)
+    for i in range(40):
+        dim = int(rng.integers(2, 4))
+        terms = [(float(rng.normal()), tuple(int(v) for v in rng.integers(0, 7, size=dim)))
+                 for _ in range(int(rng.integers(2, 13)))]
+        f = MultiPoly(terms, dim)
+        widths = rng.uniform(0.5, 3.0, size=dim)
+        grid = Grid.uniform(16, dim=dim, seed=i)
+        w = WeightVector.normalized(rng.exponential(1.0, grid.n))
+        v = test_convex_jensen(f, grid, w, CFG, box=(np.zeros(dim), widths))
+        c_max = 0.0
+        for a, k in f.terms:
+            for wj, kj in zip(widths.tolist(), k):
+                a *= wj**kj
+            c_max = max(c_max, abs(a))
+        k_l = f.term_count * c_max
+        assert v.estimates["rhs_scale"] == 4.0 * k_l
+        assert v.estimates["lhs_scale"] <= k_l * 4.0 ** max(sum(k) for _, k in f.terms)
+        res = oracle_convex(f, widths * grid.points, weights=w.lambdas)
+        assert v.estimates["jensen_lhs"] == pytest.approx(res.details["lhs"], rel=1e-9, abs=1e-9)
+        assert v.estimates["jensen_rhs"] == pytest.approx(res.details["rhs"], rel=1e-9, abs=1e-9)
 
 
 def test_multivariate_encoding_caps():
