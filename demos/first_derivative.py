@@ -1,12 +1,11 @@
 """Convexity via consecutive first-derivative differences.
 
-Builds the masked diagonal encoding of f'(x_{i+1}) - f'(x_i) through the
-circulant construction and tests the spectrum against the 1/(2 sqrt(n))
-threshold.  The wrap-around difference is masked to zero so it cannot fake
-a violation on a convex function.
+Builds the masked diagonal encoding of (f'(x_{i+1}) - f'(x_i)) / (2P) as the
+difference of M1 (entries f'(x_i)/P) conjugated by the cyclic shift and M1
+itself, and tests the spectrum of (I - M3)/2 against the threshold 1/2.  The
+wrap-around difference is masked to zero so it cannot fake a violation on a
+convex function.
 """
-
-import math
 
 import numpy as np
 
@@ -22,9 +21,8 @@ print("last entry is the masked wrap-around term\n")
 
 print("== f = x^2 / 4 on a uniform grid ==")
 v = test_convex_first_derivative(Poly([0, 0, 0.25]), Grid.uniform(8), cfg)
-t = 1 / (2 * math.sqrt(8))
 print(f"outcome:  {v.outcome}")
-print(f"estimate: {v.estimates['lambda_max']:.6f} vs threshold {t:.6f}\n")
+print(f"estimate: {v.estimates['lambda_max']:.6f} vs threshold {v.estimates['threshold']:.6f}\n")
 
 print("== f = -x^2 (concave): adjacent-pair witness ==")
 v = test_convex_first_derivative(Poly([0, 0, -1.0]), Grid.uniform(8), cfg)

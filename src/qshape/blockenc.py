@@ -17,14 +17,12 @@ import numpy as np
 
 __all__ = [
     "ResourceLedger",
-    "Contract",
     "BlockEnc",
     "StatePrep",
     "encode_state",
     "diag_from_state",
-    "diag_from_column",
+    "shift",
     "product",
-    "product_contract",
     "lcu",
     "scale_down",
     "amplify",
@@ -82,17 +80,6 @@ class ResourceLedger:
 
     def as_dict(self) -> dict:
         return {"entries": dict(self.entries), "depth_units": self.depth_units}
-
-
-@dataclass(frozen=True)
-class Contract:
-    """The (alpha, ancillas, eps) contract and ledger of an encoding whose
-    operator is applied in structured form rather than stored."""
-
-    alpha: float
-    ancillas: int
-    eps: float
-    ledger: ResourceLedger
 
 
 def _is_pow2(n: int) -> bool:
@@ -209,39 +196,23 @@ def diag_from_state(prep: StatePrep) -> BlockEnc:
     return BlockEnc(prep.state, alpha=1.0, ancillas=_qubits(n) + 3, eps=0.0, ledger=ledger)
 
 
-def diag_from_column(column: np.ndarray, contract: BlockEnc | Contract) -> BlockEnc:
-    """Diagonalize the first column of an encoded operator: the composed
-    circuit's action on the all-zeros state plays the state-preparation
-    role, and the diagonalization construction turns those amplitudes into a
-    diagonal encoding.
-
-    ``column`` is the operator's first column and ``contract`` its
-    contract, so a structured operator never has to be stored densely."""
-    col = np.asarray(column, dtype=float) / contract.alpha
-    n = col.shape[0]
-    ledger = contract.ledger.merged(depth_units=_qubits(n), **{"controlled-state-prep-queries": 1})
-    return BlockEnc(_owned(col), alpha=1.0, ancillas=contract.ancillas + _qubits(n) + 3,
-                    eps=contract.eps / contract.alpha, ledger=ledger)
-
-
-def product_contract(c1: BlockEnc | Contract, c2: BlockEnc | Contract) -> Contract:
-    """Contract of A1 A2: alpha = alpha1*alpha2, ancillas add, and
-    eps <= alpha1*eps2 + alpha2*eps1, using each input once."""
-    return Contract(
-        alpha=c1.alpha * c2.alpha,
-        ancillas=c1.ancillas + c2.ancillas,
-        eps=c1.alpha * c2.eps + c2.alpha * c1.eps,
-        ledger=c1.ledger.merged(c2.ledger, products=1),
-    )
+def shift(e: BlockEnc) -> BlockEnc:
+    """Block encoding of S^dagger A S for the cyclic increment
+    S|i> = |i + 1 mod N>: entry i holds A's entry i + 1.  S is exact, so
+    alpha, ancillas and eps are unchanged; the ledger charges its two uses,
+    S and S^dagger, at log2(N) depth units each."""
+    ledger = e.ledger.merged(depth_units=2 * _qubits(e.dim))
+    return BlockEnc(_owned(np.roll(e.data, -1)), alpha=e.alpha, ancillas=e.ancillas, eps=e.eps, ledger=ledger)
 
 
 def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
-    """Block encoding of A1 A2 under :func:`product_contract`."""
+    """Block encoding of A1 A2: alpha = alpha1*alpha2, ancillas add, and
+    eps <= alpha1*eps2 + alpha2*eps1, using each input once."""
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    data = _owned(e1.data * e2.data)
-    c = product_contract(e1, e2)
-    return BlockEnc(data, alpha=c.alpha, ancillas=c.ancillas, eps=c.eps, ledger=c.ledger)
+    return BlockEnc(_owned(e1.data * e2.data), alpha=e1.alpha * e2.alpha,
+                    ancillas=e1.ancillas + e2.ancillas, eps=e1.alpha * e2.eps + e2.alpha * e1.eps,
+                    ledger=e1.ledger.merged(e2.ledger, products=1))
 
 
 def lcu(encodings, signs) -> BlockEnc:

@@ -35,16 +35,11 @@ def oracle_convex(f, points, weights=None, mode: str = "second") -> OracleResult
     pts = np.asarray(points, dtype=float)
     if weights is not None or isinstance(f, MultiPoly):
         lam = np.asarray(weights, dtype=float)
-        if isinstance(f, MultiPoly):
-            xs = pts.reshape(len(lam), -1)
-            center = lam @ xs
-            lhs = float(f(center))
-            rhs = float(lam @ f(xs))
-        else:
-            xs = pts.reshape(-1)
-            center = float(lam @ xs)
-            lhs = float(f(center))
-            rhs = float(lam @ f(xs))
+        # one point per weight: a row of coordinates, or a number
+        xs = pts.reshape(len(lam), -1) if isinstance(f, MultiPoly) else pts.reshape(-1)
+        center = lam @ xs
+        lhs = float(f(center))
+        rhs = float(lam @ f(xs))
         verdict = "jensen_violated" if lhs > rhs else "jensen_consistent"
         witness = (center, lhs, rhs) if verdict == "jensen_violated" else None
         return OracleResult(verdict, witness, {"lhs": lhs, "rhs": rhs})

@@ -1,7 +1,7 @@
 """End-to-end shape-testing pipelines over grids of sample points.
 
-Four tests: second-derivative, first-derivative (consecutive-difference
-circulant construction), Jensen (univariate and multivariate), and
+Four tests: second-derivative, first-derivative (consecutive differences
+of f' through the cyclic shift), Jensen (univariate and multivariate), and
 monotonicity.  Every verdict is margin-aware: positive verdicts are
 evidence at the sampled points, negative verdicts carry a directly
 checkable witness, and estimates inside the 2*eps band around a decision
@@ -125,11 +125,6 @@ class Grid:
         """The identity on the grid's register, for the threshold shifts and
         the mask."""
         return be.identity(self.n)
-
-    @functools.cached_property
-    def identity_over_sqrt_n(self) -> BlockEnc:
-        """I/sqrt(n), the first-derivative test's shift."""
-        return be.scale_down(self.identity, math.sqrt(self.n))
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
@@ -358,65 +353,47 @@ def _check_increasing(grid: Grid):
 
 
 def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
-    """Diagonal encoding of (1/sqrt(n)) * (f'(x_{i+1}) - f'(x_i)) / P built
-    through the circulant construction, with the wrap-around entry (and any
-    padded duplicates) masked to zero.
+    """Diagonal encoding of (f'(x_{i+1}) - f'(x_i)) / (2P), with the
+    wrap-around entry (and any padded duplicates) masked to zero.
 
-    The composed circuit: M1 times a Hadamard layer puts the normalized
-    derivative values into the first column; the shift-difference circulant
-    turns them into consecutive differences; diagonalizing that column and
-    amplifying away the circulant's subnormalization yields the encoding.
-
-    Only that first column is ever read, so it is computed in O(n): the
-    Hadamard layer's first column is the constant 1/sqrt(n), and the
-    circulant maps v to roll(v, -1) - v.  The ledger and contract still
-    charge both layers (each exact, of depth log2(n); alpha 1 for the
-    Hadamard layer, alpha 2 and one ancilla for the circulant).
+    M1 holds f'(x_i)/P; conjugated by the cyclic shift
+    (:func:`blockenc.shift`) it holds f'(x_{i+1})/P, and one ``lcu`` takes
+    the difference.
     """
     if grid.dim != 1:
         raise ValueError("the first-derivative construction is univariate")
     _check_increasing(grid)
     if bounds is None:
         bounds = Bounds.from_poly(f)
-    n = grid.n
     m1 = transform(grid.axis_encodings[0], f.derivative().scaled(bounds.d1_sup))
-    layer = ResourceLedger.of(depth_units=int(round(math.log2(n))))
-    hadamard = be.Contract(alpha=1.0, ancillas=0, eps=0.0, ledger=layer)
-    circulant = be.Contract(alpha=2.0, ancillas=1, eps=0.0, ledger=layer)
-    v = m1.data * (1.0 / math.sqrt(n))
-    contract = be.product_contract(circulant, be.product_contract(m1, hadamard))
-    diag = be.diag_from_column(np.roll(v, -1) - v, contract)  # entries diff_i / (2 sqrt(n) P)
-    unmasked = be.amplify(diag, 2.0)
-    return be.product(grid.mask_complement, unmasked)
+    return be.product(grid.mask_complement, be.lcu([be.shift(m1), m1], [1, -1]))
 
 
 def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> Verdict:
     """Sign of the minimum consecutive first-derivative difference via the
-    largest eigenvalue of the masked (1/(2 sqrt(n)))(I - M3) against the
-    threshold 1/(2 sqrt(n))."""
+    largest eigenvalue of the masked (I - M3)/2, whose entries are
+    1/2 - diff_i/(4P), against the threshold 1/2.  It is estimated at eps/4,
+    so its band is 2*eps in units of diff/P."""
     if f.degree < 1:
         raise ValueError("first-derivative test requires degree >= 1")
     if grid.n_original < 2:
         raise ValueError("first-derivative test needs at least two grid points")
     bounds = Bounds.from_poly(f)
     m3 = build_M3(f, grid, bounds)
-    sqrt_n = math.sqrt(grid.n)
-    shifted = be.lcu([grid.identity_over_sqrt_n, m3], [1, -1])
     # zero the masked diagonal entries of the shifted matrix as well, so the
     # wrap-around term cannot pin the spectrum at the threshold
-    comp = grid.mask_complement
-    shifted = be.product(comp, be.product(shifted, comp))
-    eps_prime = cfg.eps / (2.0 * sqrt_n)
+    shifted = be.product(grid.mask_complement, be.lcu([grid.identity, m3], [1, -1]))
+    eps_prime = cfg.eps / 4.0
     if eps_prime == 0.0:
-        raise ValueError(f"eps = {cfg.eps!r} underflows to 0 when divided by 2 sqrt(n) = "
-                         f"{2.0 * sqrt_n:g} for the first-derivative test")
+        raise ValueError(f"eps = {cfg.eps!r} underflows to 0 when divided by 4 "
+                         "for the first-derivative test")
 
     def steepest_drop():
         xs = grid.original_points[:, 0]
         i = int(np.argmin(np.diff(f.derivative()(xs))))
         return (float(xs[i]), float(xs[i + 1]))
 
-    return _threshold_test(shifted, 1.0 / (2.0 * sqrt_n), _CONVEXITY, steepest_drop,
+    return _threshold_test(shifted, 0.5, _CONVEXITY, steepest_drop,
                            "first_derivative_bound", bounds.d1_sup,
                            replace(cfg, eps=eps_prime), _SALT_FIRST)
 

@@ -125,7 +125,7 @@ def test_every_primitive_output_is_read_only():
     outputs = [
         be.identity(4),
         be.diag_from_state(prep),
-        be.diag_from_column(e.data, e),
+        be.shift(e),
         be.product(e, e),
         be.lcu([e, e], [1, -1]),
         be.scale_down(e, 2.0),
@@ -182,6 +182,18 @@ def test_diag_from_state():
 
 
 # -- calculus lemmas -------------------------------------------------------
+
+
+def test_shift_rolls_the_diagonal_and_keeps_the_contract():
+    # S^dagger A S for S|i> = |i + 1 mod N>: entry i reads A's entry i + 1
+    ledger = ResourceLedger.of(depth_units=5, products=1)
+    e = BlockEnc(np.array([0.5, -0.25, 0.0, 0.125, 0.25, -0.5, 0.375, 0.0625]), alpha=2.0,
+                 ancillas=3, eps=0.01, ledger=ledger)
+    s = be.shift(e)
+    assert s.data.tolist() == [-0.25, 0.0, 0.125, 0.25, -0.5, 0.375, 0.0625, 0.5]
+    assert (s.alpha, s.ancillas, s.eps) == (e.alpha, e.ancillas, e.eps)
+    # two uses of S, S and S^dagger, of log2(8) = 3 depth units each, and no query
+    assert s.ledger == ledger.merged(depth_units=2 * 3)
 
 
 def test_product_composition():

@@ -258,8 +258,7 @@ def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
     code, rep = run_cli(tmp_path, prob, "--method", "first-deriv", "--eps", "5e-324")
     assert code == 1 and rep is None
     assert capsys.readouterr().err.splitlines() == [
-        "error: eps = 5e-324 underflows to 0 when divided by 2 sqrt(n) = 5.65685 "
-        "for the first-derivative test"]
+        "error: eps = 5e-324 underflows to 0 when divided by 4 for the first-derivative test"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -273,8 +272,9 @@ def test_eps_too_large_for_uniform_noise_names_it(tmp_path, capsys, method):
     if method != "all":
         assert rep is None and capsys.readouterr().err == f"error: {msg}\n"
         return
-    # first-deriv draws and decides at eps / (2 sqrt(n)), and still runs; Jensen
-    # draws at eps divided by its scales, then cannot decide at eps
+    # first-deriv draws and decides at eps / 4, whose range and band 2 eps/4
+    # are finite, and still runs; Jensen draws at eps divided by its scales,
+    # then cannot decide at eps
     band = "eps = 1e+308 is too large for a verdict: the band 2 eps overflows"
     assert [r.get("error") for r in rep["results"]] == [msg, None, band, msg]
     assert capsys.readouterr().err == f"error: second-deriv: {msg}; jensen: {band}; monotone: {msg}\n"

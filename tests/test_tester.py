@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qshape.blockenc as be
 import qshape.tester
-from qshape.blockenc import BlockEnc, ResourceLedger
+from qshape.blockenc import BlockEnc
 from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
 from qshape.oracle import oracle_convex, oracle_monotone
 from qshape.poly import Bounds, MultiPoly, Poly, certified_sup, remap_domain
@@ -87,17 +87,16 @@ def test_uniform_grids_and_weights_are_shared():
     assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=2, seed=1)
     assert Grid.from_points([-0.4, 0.1]) is not Grid.from_points([-0.4, 0.1])
     g, w = Grid.uniform(8), WeightVector.uniform(8)
-    assert g.identity_over_sqrt_n.ledger == be.scale_down(be.identity(8), math.sqrt(8)).ledger
     assert w.sqrt_state is w.sqrt_state
     assert w.sqrt_state.state.tobytes() == np.sqrt(w.lambdas).tobytes()
     # everything a shared grid or weight vector hands out is read-only
-    arrays = [g.points, g.identity.data, g.identity_over_sqrt_n.data, g.mask_complement.data,
+    arrays = [g.points, g.identity.data, g.mask_complement.data,
               *(e.data for e in g.axis_encodings), w.lambdas, w.sqrt_state.state]
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_calls_on_a_shared_grid_build_its_parts_once(monkeypatch):
-    # the grid encoding, identity, I/sqrt(n) and |sqrt(lambda)> of a uniform
+    # the grid encoding, identity and |sqrt(lambda)> of a uniform
     # grid and its default weights, over two rounds of all four tests
     for cache in (qshape.tester._uniform_grid, qshape.tester._uniform_weights):
         cache.cache_clear()
@@ -117,9 +116,9 @@ def test_calls_on_a_shared_grid_build_its_parts_once(monkeypatch):
                          test_convex_first_derivative(f, grid, CFG).ledger,
                          test_monotone(f, grid, "increasing", CFG).ledger,
                          test_convex_jensen(f, grid, w, CFG).ledger])
-    # encode_state: the grid and |sqrt(lambda)>; scale_down: I/sqrt(n), and the
-    # grid encoding's rescaling by |x| < 1
-    assert built == {"identity": 1, "encode_state": 2, "scale_down": 2}
+    # encode_state: the grid and |sqrt(lambda)>; scale_down: the grid
+    # encoding's rescaling by |x| < 1
+    assert built == {"identity": 1, "encode_state": 2, "scale_down": 1}
     assert verdicts[0] == verdicts[1]
 
 
@@ -194,7 +193,7 @@ def _threshold_verdicts(f, grid, cfg):
     """(eps the estimate was made at, estimate, threshold, verdict) for the
     three threshold tests."""
     for eps, v in ((cfg.eps, test_convex_second_derivative(f, grid, cfg)),
-                   (cfg.eps / (2.0 * math.sqrt(grid.n)), test_convex_first_derivative(f, grid, cfg)),
+                   (cfg.eps / 4.0, test_convex_first_derivative(f, grid, cfg)),
                    (cfg.eps, test_monotone(f, grid, "increasing", cfg)),
                    (cfg.eps, test_monotone(f, grid, "decreasing", cfg))):
         yield eps, v.estimates["lambda_max"], v.estimates["threshold"], v
@@ -281,48 +280,30 @@ def test_build_M3_entries():
     from qshape.poly import Bounds
 
     p = Bounds.from_poly(f).d1_sup
-    expected = np.full(4, 0.4 / (math.sqrt(4) * p))
+    expected = np.full(4, 0.4 / (2.0 * p))
     expected[-1] = 0.0  # wrap-around masked
     np.testing.assert_allclose(e.data, expected, atol=1e-10)
 
 
-# Dense reference for build_M3: the Hadamard layer and the shift-difference
-# circulant stored as n x n matrices, each with its contract and an SVD
-# check that its norm is within its alpha, multiplied densely.
+# Dense reference for build_M3: the cyclic increment S stored as an n x n
+# permutation matrix, and S^T diag(M1) S multiplied densely.
 
 
-def _layer(m: np.ndarray, alpha: float, ancillas: int):
-    assert np.linalg.norm(m, 2) <= alpha + 1e-9
-    n = m.shape[0]
-    ledger = ResourceLedger.of(depth_units=int(round(math.log2(n))))
-    return m, be.Contract(alpha=alpha, ancillas=ancillas, eps=0.0, ledger=ledger)
-
-
-def _hadamard_layer(n: int):
-    h = np.array([[1.0, 1.0], [1.0, -1.0]])
-    m = np.array([[1.0]])
-    while m.shape[0] < n:
-        m = np.kron(m, h)
-    return _layer(m / math.sqrt(n), alpha=1.0, ancillas=0)
-
-
-def _shift_difference_circulant(n: int):
-    l = -np.eye(n)
-    l += np.eye(n, k=1)
-    l[-1, 0] = 1.0
-    return _layer(l, alpha=2.0, ancillas=1)
+def _cyclic_increment(n: int) -> np.ndarray:
+    s = np.zeros((n, n))
+    s[(np.arange(n) + 1) % n, np.arange(n)] = 1.0  # S|i> = |i + 1 mod n>
+    return s
 
 
 def _dense_build_M3(f: Poly, grid: Grid) -> BlockEnc:
     bounds = Bounds.from_poly(f)
     n = grid.n
     m1 = transform(encode_grid_values(grid.x), f.derivative().scaled(bounds.d1_sup))
-    h, h_contract = _hadamard_layer(n)
-    l, l_contract = _shift_difference_circulant(n)
-    column = (l @ (m1.data[:, None] * h))[:, 0]
-    contract = be.product_contract(l_contract, be.product_contract(m1, h_contract))
-    diag = be.diag_from_column(column, contract)
-    return be.product(_mask_complement(grid), be.amplify(diag, 2.0))
+    s = _cyclic_increment(n)
+    # S is exact: M1's contract, and S and S^T charged log2(n) depth units each
+    shifted = BlockEnc((s.T @ np.diag(m1.data) @ s).diagonal(), alpha=m1.alpha, ancillas=m1.ancillas,
+                       eps=m1.eps, ledger=m1.ledger.merged(depth_units=2 * int(round(math.log2(n)))))
+    return be.product(_mask_complement(grid), be.lcu([shifted, m1], [1, -1]))
 
 
 def _m3_cases():
@@ -371,7 +352,7 @@ def test_first_derivative_concave_witness():
 
 
 def test_first_derivative_builds_its_mask_once(monkeypatch):
-    # once per grid for its three uses in a call, and once over the calls
+    # once per grid for its two uses in a call, and once over the calls
     # that share the grid: a uniform grid fetched again is the same grid
     qshape.tester._uniform_grid.cache_clear()
     builds = []
@@ -401,6 +382,46 @@ def test_first_derivative_padded_grid_masks_duplicates():
     g = Grid.from_points([-0.4, -0.25, -0.1, 0.05, 0.2, 0.35], pad_to_pow2=True)
     v = test_convex_first_derivative(Poly([0, 0, 0.5]), g, CFG)
     assert v.outcome == Outcome.CONVEX_ON_GRID
+
+
+@st.composite
+def _first_derivative_grids(draw):
+    """A uniform grid of 2 ... 512 points, or a padded explicit grid of
+    2 ... 64 strictly increasing points."""
+    if draw(st.booleans()):
+        return Grid.uniform(2 ** draw(st.integers(1, 9)))
+    m = draw(st.integers(2, 64))
+    ticks = draw(st.lists(st.integers(-500, 500), min_size=m, max_size=m, unique=True))
+    return Grid.from_points(np.sort(ticks) / 1000.0, pad_to_pow2=True)
+
+
+@given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=21),
+       _first_derivative_grids(), st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]))
+@settings(max_examples=200, deadline=None)
+def test_first_derivative_decides_outside_twice_eps(coeffs, grid, eps):
+    # in exact mode the estimate is 1/2 - s/4 with s = min diff / P, decided
+    # at eps/4, so a decisive verdict needs |s| > 2 eps, up to a few ulps
+    f = Poly(coeffs)
+    if f.degree < 1:
+        return
+    v = test_convex_first_derivative(f, grid, EstimatorConfig(eps=eps))
+    s = float(np.min(np.diff(f.derivative()(grid.original_points[:, 0])))) / Bounds.from_poly(f).d1_sup
+    ulps = 16 * np.finfo(float).eps
+    if v.outcome == Outcome.CONVEX_ON_GRID:
+        assert s > 2 * eps - ulps
+    elif v.outcome == Outcome.NOT_CONVEX:
+        assert s < -2 * eps + ulps
+
+
+def test_first_derivative_estimation_queries_grow_as_log_n():
+    # M3 holds the differences over 2P at every n, so the estimate is made
+    # at eps/4 and its queries (1/eps')(log2 n + log2(1/eps')) grow with log
+    # n alone: 5,058 at n = 2^4 and 9,058 at 2^14 for eps = 0.01
+    f = Poly([0.1, -0.2, 0.25, 0.05])
+    small, large = (test_convex_first_derivative(f, Grid.uniform(n), CFG).ledger
+                    .count("eigenvalue-estimation-queries") for n in (2**4, 2**14))
+    assert (small, large) == (5058, 9058)
+    assert large <= 2 * small
 
 
 # -- monotonicity ----------------------------------------------------------
