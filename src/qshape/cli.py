@@ -166,7 +166,7 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
         m = pts.shape[0]
         if m & (m - 1):
             _warn(f"{m} points is not a power of two; padding by repeating the last point")
-        return Grid.from_points(working, pad_to_pow2=True)
+        return Grid.from_points(working)
     raise InputError(f"unknown grid kind {kind!r}")
 
 
@@ -221,7 +221,6 @@ def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfi
         "witness": _witness_to_user(verdict.witness, box, method),
         "estimates": verdict.estimates,
         "margin": verdict.margin,
-        "gap_flag": verdict.gap_flag,
         "grid_semantics": verdict.grid_semantics,
         # with the grid size, so scaling plots can come from a batch of reports
         "ledger": dict(verdict.ledger.as_dict(), n=grid.n),

@@ -24,8 +24,7 @@ from .blockenc import (
 
 __all__ = [
     "EstimatorConfig",
-    "EigenvalueEstimate",
-    "AmplitudeEstimate",
+    "Estimate",
     "largest_eigenvalue",
     "overlap_gadget",
     "amplitude_estimate",
@@ -39,7 +38,6 @@ GADGET_FACTOR = 0.25
 # validated once here
 _HALF_IDENTITY = scale_down(identity(2), 2.0)
 
-GAP_THRESHOLD = 0.01  # below this, the O(1)-gap assumption is flagged
 _PSD_TOL = 1e-9
 
 
@@ -75,35 +73,25 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class EigenvalueEstimate:
-    value: float
-    gap_flag: bool
-    ledger: ResourceLedger
+class Estimate:
+    """One estimated number and the ledger of what estimating it cost."""
 
-
-@dataclass(frozen=True)
-class AmplitudeEstimate:
     value: float
     ledger: ResourceLedger
 
 
-def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> EigenvalueEstimate:
+def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> Estimate:
     """Estimate the largest eigenvalue of a PSD encoding to additive
     accuracy eps.
 
-    The exact value comes from the sorted diagonal; noise is then applied
-    per the config.  The gap flag marks spectra whose two largest
-    eigenvalues are closer than the O(1)-gap assumption tolerates; it is
-    advisory and does not degrade the classical estimate.
+    The exact value is the diagonal's maximum; noise is then applied per
+    the config.  The query count is the one stated for an O(1) spectral
+    gap, which a grid's near-equal top entries need not have.
     """
-    spectrum = np.sort(e.data)
-    lam_min = float(spectrum[0])
+    lam_min = float(e.data.min())
     if lam_min < -(_PSD_TOL + e.eps):
         raise ValueError(f"operator is not positive semidefinite (lambda_min = {lam_min:.6g})")
-    top = float(spectrum[-1])
-    second = float(spectrum[-2]) if spectrum.size > 1 else float("-inf")
-    gap_flag = (top - second) < GAP_THRESHOLD
-    estimate = top + cfg.draw(salt)
+    estimate = float(e.data.max()) + cfg.draw(salt)
     n_qubits = int(round(math.log2(e.dim)))
     inv_eps = 1.0 / cfg.eps
     log_term = n_qubits + math.log2(inv_eps)
@@ -114,7 +102,7 @@ def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> Eige
                          "its query count overflows")
     ledger = e.ledger.merged(depth_units=math.ceil(depth),
                              **{"eigenvalue-estimation-queries": math.ceil(queries)})
-    return EigenvalueEstimate(value=estimate, gap_flag=gap_flag, ledger=ledger)
+    return Estimate(value=estimate, ledger=ledger)
 
 
 def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
@@ -125,6 +113,10 @@ def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
     of the encoding's unitary on |0>|phi> and |0>|phi> itself; prepare their
     controlled superposition, trace down to the one-qubit density matrix
     diag((1+w)/2, (1-w)/2), and subtract I/2 by a linear combination.
+
+    An A off by at most e.eps entrywise moves w by at most e.eps/alpha, so
+    the density matrix is stated at e.eps/(2 alpha) and the gadget at the
+    eps that ``lcu`` passes on from it.
     """
     n = prep.dim
     if e.dim != n:
@@ -151,11 +143,11 @@ def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
         **{"base-encoding-queries": 1, "controlled-state-prep-queries": 2, "state-prep-queries": 2},
     )
     diagonal = (psi.T @ psi).diagonal()
-    rho = BlockEnc(diagonal, alpha=1.0, ancillas=traced, eps=0.0, ledger=ledger)
+    rho = BlockEnc(diagonal, alpha=1.0, ancillas=traced, eps=e.eps / (2.0 * e.alpha), ledger=ledger)
     return lcu([rho, _HALF_IDENTITY], [1, -1])
 
 
-def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int = 0) -> AmplitudeEstimate:
+def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int = 0) -> Estimate:
     """Estimate the flagged-branch amplitude, i.e. the (0, 0) entry of the
     encoded operator, to additive accuracy eps using O(1/eps) queries.
 
@@ -169,4 +161,4 @@ def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int 
     value = raw + cfg.draw(salt, eps=eps)
     queries = math.ceil(1.0 / eps)
     ledger = e.ledger.merged(depth_units=queries, **{"amplitude-estimation-queries": queries})
-    return AmplitudeEstimate(value=value, ledger=ledger)
+    return Estimate(value=value, ledger=ledger)

@@ -157,10 +157,6 @@ class MultiPoly:
             out += mono
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    @property
-    def coefficient_sum(self) -> float:
-        return float(sum(abs(a) for a, _ in self.terms))
-
 
 # The sample of every polynomial of degree <= 409, and the refinement's steps.
 _SAMPLE = np.linspace(-1.0, 1.0, 4097)

@@ -50,7 +50,6 @@ class MFamily:
     M: BlockEnc
     M1: BlockEnc
     M2: BlockEnc
-    second_derivative_degenerate: bool
 
 
 def build_M_family(f: Poly, grid_enc: BlockEnc, bounds: Bounds) -> MFamily:
@@ -58,14 +57,11 @@ def build_M_family(f: Poly, grid_enc: BlockEnc, bounds: Bounds) -> MFamily:
     f'(x_i)/P and f''(x_i)/Q from an alpha-1 encoding of diag(x).
 
     For degree < 2 the second derivative vanishes identically and M2 is the
-    zero encoding, flagged as degenerate.
+    zero encoding.
     """
     if abs(grid_enc.alpha - 1.0) > 1e-12:
         raise ValueError("grid encoding must be normalized to alpha = 1")
     M = transform(grid_enc, f.scaled(bounds.f_sup))
-    d1 = f.derivative()
-    M1 = transform(grid_enc, d1.scaled(bounds.d1_sup))
-    degenerate = f.degree < 2
-    d2 = f.derivative(2)
-    M2 = transform(grid_enc, d2.scaled(bounds.d2_sup))
-    return MFamily(M=M, M1=M1, M2=M2, second_derivative_degenerate=degenerate)
+    M1 = transform(grid_enc, f.derivative().scaled(bounds.d1_sup))
+    M2 = transform(grid_enc, f.derivative(2).scaled(bounds.d2_sup))
+    return MFamily(M=M, M1=M1, M2=M2)

@@ -140,16 +140,13 @@ class Grid:
         return cls(points=rng.uniform(-_HALF, _HALF, size=(n, dim)), n_original=n)
 
     @classmethod
-    def from_points(cls, points, pad_to_pow2: bool = False) -> "Grid":
+    def from_points(cls, points) -> "Grid":
+        """The grid of ``points``, the last repeated up to a power of two."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 1 and np.asarray(points).ndim == 1:
             pts = pts.T
         m = pts.shape[0]
-        n = _next_pow2(m)
-        if n != m:
-            if not pad_to_pow2:
-                raise ValueError(f"{m} points is not a power of two; pass pad_to_pow2=True")
-            pts = np.vstack([pts, np.repeat(pts[-1:], n - m, axis=0)])
+        pts = np.vstack([pts, np.repeat(pts[-1:], _next_pow2(m) - m, axis=0)])
         return cls(points=pts, n_original=m)
 
 
@@ -234,7 +231,6 @@ class Verdict:
     ledger: ResourceLedger
     witness: object = None
     reason: str | None = None
-    gap_flag: bool = False
     grid_semantics: str = "evidence at sampled points"
 
 
@@ -262,10 +258,12 @@ def encode_grid_values(values: np.ndarray) -> BlockEnc:
 
 # (below the band, above it) for the three convexity tests
 _CONVEXITY = (Outcome.CONVEX_ON_GRID, Outcome.NOT_CONVEX)
+# the value each threshold test compares its largest eigenvalue with
+_THRESHOLD = 0.5
 
 
 def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_fn,
-             estimates: dict, ledger: ResourceLedger, eps: float, gap_flag: bool = False) -> Verdict:
+             estimates: dict, ledger: ResourceLedger, eps: float) -> Verdict:
     """Compare an estimated ``value`` with ``threshold`` under a 2*eps band:
     below the band is ``outcomes[0]``, above it ``outcomes[1]`` with the
     witness ``witness_fn()``, and inside it Inconclusive.  The margin is the
@@ -286,18 +284,16 @@ def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_
         margin=abs(value - threshold) - band,
         ledger=ledger,
         witness=witness_fn() if outcome == above else None,
-        gap_flag=gap_flag,
     )
 
 
-def _threshold_test(shifted: BlockEnc, threshold: float, outcomes: tuple[str, str], witness_fn,
+def _threshold_test(shifted: BlockEnc, outcomes: tuple[str, str], witness_fn,
                     bound_name: str, bound: float, cfg: EstimatorConfig, salt: int) -> Verdict:
     """Estimate the largest eigenvalue of ``shifted`` and decide it against
-    ``threshold`` with :func:`_verdict`."""
+    the threshold 1/2 with :func:`_verdict`."""
     est = largest_eigenvalue(shifted, cfg, salt=salt)
-    estimates = {"lambda_max": est.value, "threshold": threshold, bound_name: bound}
-    return _verdict(est.value, threshold, outcomes, witness_fn, estimates, est.ledger,
-                    cfg.eps, est.gap_flag)
+    estimates = {"lambda_max": est.value, "threshold": _THRESHOLD, bound_name: bound}
+    return _verdict(est.value, _THRESHOLD, outcomes, witness_fn, estimates, est.ledger, cfg.eps)
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +307,7 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
         raise ValueError("second-derivative test is univariate")
     bounds = Bounds.from_poly(f)
     fam = build_M_family(f, grid.axis_encodings[0], bounds)
-    if fam.second_derivative_degenerate:
+    if f.degree < 2:
         return Verdict(
             outcome=Outcome.INCONCLUSIVE,
             estimates={"degree": float(f.degree)},
@@ -325,7 +321,7 @@ def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> 
         xs = grid.original_points[:, 0]
         return float(xs[int(np.argmin(f.derivative(2)(xs)))])
 
-    return _threshold_test(shifted, 0.5, _CONVEXITY, lowest_curvature,
+    return _threshold_test(shifted, _CONVEXITY, lowest_curvature,
                            "second_derivative_bound", bounds.d2_sup, cfg, _SALT_SECOND)
 
 
@@ -393,7 +389,7 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
         i = int(np.argmin(np.diff(f.derivative()(xs))))
         return (float(xs[i]), float(xs[i + 1]))
 
-    return _threshold_test(shifted, 0.5, _CONVEXITY, steepest_drop,
+    return _threshold_test(shifted, _CONVEXITY, steepest_drop,
                            "first_derivative_bound", bounds.d1_sup,
                            replace(cfg, eps=eps_prime), _SALT_FIRST)
 
@@ -403,8 +399,8 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
 
 
 def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> Verdict:
-    """Sign of f' at the grid points through the threshold pipeline on M1
-    (sign-flipped for the decreasing direction)."""
+    """Sign of f' at the grid points through the threshold pipeline on
+    (I - M1)/2, or on (I + M1)/2 for the decreasing direction."""
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
     if grid.dim != 1:
@@ -413,8 +409,7 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
         raise ValueError("monotonicity test requires degree >= 1")
     bounds = Bounds.from_poly(f)
     fam = build_M_family(f, grid.axis_encodings[0], bounds)
-    m1 = fam.M1 if direction == "increasing" else be.lcu([fam.M1], [-1])
-    shifted = be.lcu([grid.identity, m1], [1, -1])
+    shifted = be.lcu([grid.identity, fam.M1], [1, -1 if direction == "increasing" else 1])
     good = Outcome.MONOTONE_INCREASING if direction == "increasing" else Outcome.MONOTONE_DECREASING
 
     def worst_slope():
@@ -423,7 +418,7 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
         i = int(np.argmin(d1_vals)) if direction == "increasing" else int(np.argmax(d1_vals))
         return float(xs[i])
 
-    return _threshold_test(shifted, 0.5, (good, Outcome.NOT_MONOTONE), worst_slope,
+    return _threshold_test(shifted, (good, Outcome.NOT_MONOTONE), worst_slope,
                            "first_derivative_bound", bounds.d1_sup, cfg, _SALT_MONO)
 
 

@@ -152,6 +152,49 @@ def test_witness_in_user_coordinates(tmp_path):
 
 ALL_UNIVARIATE = ["second-deriv", "first-deriv", "jensen", "monotone"]
 
+REPORT_KEYS = {"schema", "method", "outcome", "witness", "estimates", "margin",
+               "grid_semantics", "ledger", "oracle", "agreement"}
+THRESHOLD_ESTIMATES = {"lambda_max", "threshold"}
+ESTIMATE_KEYS = {
+    "second-deriv": THRESHOLD_ESTIMATES | {"second_derivative_bound"},
+    "first-deriv": THRESHOLD_ESTIMATES | {"first_derivative_bound"},
+    "monotone": THRESHOLD_ESTIMATES | {"first_derivative_bound"},
+    "jensen": {"jensen_lhs", "jensen_rhs", "lhs_scale", "rhs_scale", "gadget_factor"},
+}
+
+
+def _assert_result_schema(r, method, estimates, extra=frozenset()):
+    assert set(r) == REPORT_KEYS | extra
+    assert r["method"] == method
+    assert set(r["estimates"]) == estimates
+    assert set(r["ledger"]) == {"entries", "depth_units", "n"}
+    assert set(r["oracle"]) == {"verdict", "witness", "details"}
+
+
+def test_report_schema(tmp_path):
+    """Each method's result holds exactly these keys, alone and under all."""
+    _, rep = run_cli(tmp_path, CUBIC, "--method", "all", "--eps", "0.001")
+    assert set(rep) == {"schema", "results"}
+    assert [r["method"] for r in rep["results"]] == ALL_UNIVARIATE
+    for r in rep["results"]:
+        _assert_result_schema(r, r["method"], ESTIMATE_KEYS[r["method"]])
+        _, alone = run_cli(tmp_path, CUBIC, "--method", r["method"], "--eps", "0.001")
+        _assert_result_schema(alone, r["method"], ESTIMATE_KEYS[r["method"]])
+
+
+def test_report_schema_of_degenerate_and_failed_methods(tmp_path):
+    # a constant: second-deriv is degenerate, first-deriv and monotone raise
+    constant = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
+                "grid": {"kind": "uniform", "n": 8}}
+    code, rep = run_cli(tmp_path, constant, "--method", "all")
+    assert code == 1 and set(rep) == {"schema", "results"}
+    second, first, jensen, monotone = rep["results"]
+    _assert_result_schema(second, "second-deriv", {"degree"}, {"reason"})
+    _assert_result_schema(jensen, "jensen", ESTIMATE_KEYS["jensen"])
+    for r, method in ((first, "first-deriv"), (monotone, "monotone")):
+        assert set(r) == {"schema", "method", "error"} and r["method"] == method
+
+
 # problems on which some methods raise and the others run
 FAILING_METHODS = {
     "repeated-point": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0, 0, 1]},
@@ -803,7 +846,7 @@ def test_box_map_matches_reference_bytes(dim):
                          for t in rng.uniform(0.0, 1.0, size=8)])
         raw = user[:, 0].tolist() if not multi else user.tolist()
         grid = _build_grid({"grid": {"kind": "explicit", "points": raw}}, dim, box, None, 0)
-        reference = Grid.from_points(_reference_to_working(user, domains), pad_to_pow2=True)
+        reference = Grid.from_points(_reference_to_working(user, domains))
         assert grid.points.tobytes() == reference.points.tobytes()
 
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qshape.blockenc as be
 from qshape.blockenc import BlockEnc, ResourceLedger, StatePrep
@@ -44,13 +46,29 @@ def test_largest_eigenvalue_exact_diagonal():
     cfg = EstimatorConfig(eps=0.01)
     est = largest_eigenvalue(diag_enc([0.1, 0.7, 0.3, 0.0]), cfg)
     assert est.value == pytest.approx(0.7)
-    assert not est.gap_flag
 
 
-def test_largest_eigenvalue_gap_flag():
-    cfg = EstimatorConfig(eps=0.01)
-    est = largest_eigenvalue(diag_enc([0.5, 0.4999, 0.1, 0.0]), cfg)
-    assert est.gap_flag
+@st.composite
+def _diagonals(draw):
+    """A diagonal of 1 ... 512 entries, some below zero, and an eps."""
+    n = 1 << draw(st.integers(0, 9))
+    values = draw(st.lists(st.floats(-0.05, 1.0), min_size=n, max_size=n))
+    return np.array(values), draw(st.sampled_from([0.0, 1e-9, 0.01, 0.05]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_diagonals())
+# just inside and just outside the PSD tolerance
+@example((np.array([0.5, -(1e-9 + 0.01)]), 0.01))
+@example((np.array([0.5, math.nextafter(-(1e-9 + 0.01), -1.0)]), 0.01))
+def test_largest_eigenvalue_is_the_diagonal_max(case):
+    data, eps = case
+    e = diag_enc(data, eps=eps)
+    if data.min() < -(1e-9 + eps):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            largest_eigenvalue(e, EstimatorConfig())
+    else:
+        assert largest_eigenvalue(e, EstimatorConfig()).value == data.max()
 
 
 def test_largest_eigenvalue_rejects_indefinite():
@@ -145,7 +163,10 @@ def _reference_two_states(e, prep):
     return applied, StatePrep(state=padded, ledger=prep.ledger)
 
 
-def _dense_overlap_gadget(prep1, prep2):
+def _dense_overlap_gadget(prep1, prep2, w_eps):
+    """The gadget of two states whose overlap w is known to +-w_eps: the
+    density matrix holds (1 +- w)/2, so it is stated at w_eps/2, and lcu
+    passes the larger of its inputs' eps on."""
     n = prep1.dim
     psi = np.zeros((2, n, 2))
     psi[0, :, 0] = (prep1.state + prep2.state) / 2.0
@@ -159,7 +180,7 @@ def _dense_overlap_gadget(prep1, prep2):
     op = sum(s * m for s, m in zip([1, -1], [rho, np.diag(half.data)])) / 2
     ledger = rho_ledger.merged(half.ledger).merged(ResourceLedger.of(depth_units=2, **{"lcu-combinations": 1}))
     ancillas = max(int(math.log2(2 * n)), half.ancillas) + 1
-    return op, 1.0, ancillas, 0.0, ledger
+    return op, 1.0, ancillas, max(w_eps / 2.0, half.eps), ledger
 
 
 def _gadget_cases():
@@ -196,10 +217,25 @@ def test_overlap_gadget_matches_dense_reference():
         g = overlap_gadget(e, prep)
         applied, padded = _reference_two_states(e, prep)
         assert np.linalg.norm(applied.state) == pytest.approx(1.0, abs=1e-12)
-        op, alpha, ancillas, eps, ledger = _dense_overlap_gadget(applied, padded)
+        op, alpha, ancillas, eps, ledger = _dense_overlap_gadget(applied, padded, e.eps / e.alpha)
         assert op[0, 1] == 0.0 and op[1, 0] == 0.0
         assert g.data.tobytes() == np.diagonal(op).tobytes()
         assert (g.alpha, g.ancillas, g.eps, g.ledger) == (alpha, ancillas, eps, ledger)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.0, 1.0))
+def test_overlap_gadget_eps_covers_an_input_off_by_its_eps(seed, frac):
+    """Each entry of the gadget of any A whose entries are within e.eps of
+    e's moves by at most the eps the gadget of e states."""
+    rng = np.random.default_rng(seed)
+    cases = list(_gadget_cases())
+    e, prep = cases[int(rng.integers(len(cases)))]
+    delta = e.eps * frac * rng.choice([-1.0, 1.0], size=e.dim) * rng.uniform(0.0, 1.0, e.dim)
+    delta[int(rng.integers(e.dim))] = e.eps * frac * rng.choice([-1.0, 1.0])
+    off = BlockEnc(e.data + delta, alpha=e.alpha, ancillas=e.ancillas, eps=e.eps)
+    g, g_off = overlap_gadget(e, prep), overlap_gadget(off, prep)
+    assert np.max(np.abs(g_off.data - g.data)) <= g.eps + 1e-12
 
 
 def test_overlap_gadget_validates_two_encodings(monkeypatch):

@@ -48,14 +48,16 @@ def test_grid_rejects_out_of_domain():
 
 
 def test_grid_padding_repeats_last_point():
-    g = Grid.from_points([-0.4, 0.0, 0.3], pad_to_pow2=True)
+    g = Grid.from_points([-0.4, 0.0, 0.3])
     assert g.n == 4 and g.n_original == 3
     assert g.x[3] == g.x[2]
 
 
 def test_grid_rejects_non_pow2_without_padding():
-    with pytest.raises(ValueError):
-        Grid.from_points([-0.4, 0.0, 0.3])
+    with pytest.raises(ValueError, match="not a power of two"):
+        Grid(points=[-0.4, 0.0, 0.3], n_original=3)
+    g = Grid.from_points([-0.4, 0.0, 0.3])
+    assert (g.n, g.n_original) == (4, 3)
 
 
 def test_weights_validation():
@@ -226,7 +228,7 @@ def _band_cases(cfg):
             yield (*case, grid, None)
         for w in (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8))):
             yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
-        padded = Grid.from_points([-0.45, -0.3, 0.05, 0.2, 0.4], pad_to_pow2=True)
+        padded = Grid.from_points([-0.45, -0.3, 0.05, 0.2, 0.4])
         w = WeightVector.normalized(rng.uniform(0.1, 1.0, 5))
         yield (*_jensen_verdict(f, padded, w, cfg), padded, w.padded(8))
     for f in _BAND_MULTIPOLYS:
@@ -314,7 +316,7 @@ def _m3_cases():
         m = n // 2 + 1 if n > 2 else n  # pads up to n
         pts = np.sort(rng.choice(np.linspace(-0.5, 0.5, 4 * n + 1), size=m, replace=False))
         yield (f"padded-{m}-of-{n}", Poly(rng.uniform(-1, 1, size=int(rng.integers(3, 9)))),
-               Grid.from_points(pts, pad_to_pow2=True))
+               Grid.from_points(pts))
     # constant derivative, and f' = 0 exactly at a grid point
     yield "linear", Poly([0.3, -0.7]), Grid.uniform(16)
     yield "zero-at-point", Poly([0.0, 0.0, 1.0]), Grid.from_points([-0.25, 0.0, 0.25, 0.5])
@@ -358,7 +360,7 @@ def test_first_derivative_builds_its_mask_once(monkeypatch):
     builds = []
     build = qshape.tester._mask_complement
     monkeypatch.setattr(qshape.tester, "_mask_complement", lambda grid: builds.append(grid) or build(grid))
-    explicit = Grid.from_points([-0.4, -0.1, 0.2], pad_to_pow2=True)
+    explicit = Grid.from_points([-0.4, -0.1, 0.2])
     for fetch in (lambda: Grid.uniform(8), lambda: explicit):
         builds.clear()
         grids = [fetch(), fetch()]
@@ -379,7 +381,7 @@ def test_first_derivative_mixed_curvature():
 
 def test_first_derivative_padded_grid_masks_duplicates():
     # duplicated padding points must not produce spurious negative diffs
-    g = Grid.from_points([-0.4, -0.25, -0.1, 0.05, 0.2, 0.35], pad_to_pow2=True)
+    g = Grid.from_points([-0.4, -0.25, -0.1, 0.05, 0.2, 0.35])
     v = test_convex_first_derivative(Poly([0, 0, 0.5]), g, CFG)
     assert v.outcome == Outcome.CONVEX_ON_GRID
 
@@ -392,7 +394,7 @@ def _first_derivative_grids(draw):
         return Grid.uniform(2 ** draw(st.integers(1, 9)))
     m = draw(st.integers(2, 64))
     ticks = draw(st.lists(st.integers(-500, 500), min_size=m, max_size=m, unique=True))
-    return Grid.from_points(np.sort(ticks) / 1000.0, pad_to_pow2=True)
+    return Grid.from_points(np.sort(ticks) / 1000.0)
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=21),
@@ -445,6 +447,21 @@ def test_monotone_witness():
     assert Poly([0, 0, 1.0]).derivative()(v.witness) < 0
 
 
+@pytest.mark.parametrize("coeffs", [[0, 0.5], [0.2, -1.0, 0.3, 2.0], [0, 4.0, 0, -6.0, 0, 2.0]])
+@pytest.mark.parametrize("grid", [Grid.uniform(16), Grid.from_points([-0.4, -0.1, 0.2])],
+                         ids=["uniform", "padded"])
+def test_monotone_directions_cost_the_same(coeffs, grid):
+    """The decreasing test reads (I + M1)/2 with the one combination the
+    increasing test's (I - M1)/2 takes, so both ledgers are equal, and its
+    estimate is the increasing test's on -f to the bit."""
+    f, neg = Poly(coeffs), Poly([-c for c in coeffs])
+    cfg = EstimatorConfig(eps=1e-3, seed=4, noise_mode="uniform")
+    inc, dec = (test_monotone(f, grid, d, cfg) for d in ("increasing", "decreasing"))
+    assert inc.ledger == dec.ledger
+    assert dec.ledger.count("lcu-combinations") == 1
+    assert dec.estimates == test_monotone(neg, grid, "increasing", cfg).estimates
+
+
 def test_monotone_rejects_bad_direction():
     with pytest.raises(ValueError):
         test_monotone(Poly([0, 1.0]), Grid.uniform(8), "sideways", CFG)
@@ -479,7 +496,7 @@ def test_jensen_multivariate_necessary_condition():
 
 
 def test_jensen_weight_padding():
-    g = Grid.from_points([-0.3, 0.0, 0.3], pad_to_pow2=True)
+    g = Grid.from_points([-0.3, 0.0, 0.3])
     v = test_convex_jensen(Poly([0, 0, 1.0]), g, WeightVector.uniform(3), CFG)
     oracle = oracle_convex(Poly([0, 0, 1.0]), g.original_points,
                            weights=WeightVector.uniform(3).lambdas)
@@ -553,7 +570,7 @@ def _jensen_problems():
             grid = Grid.uniform(_next_pow2(m), dim=dim, seed=i)
         else:
             pts = rng.uniform(-0.5, 0.5, size=(m, dim))
-            grid = Grid.from_points(np.sort(pts, axis=0) if dim == 1 else pts, pad_to_pow2=True)
+            grid = Grid.from_points(np.sort(pts, axis=0) if dim == 1 else pts)
         w = WeightVector.normalized(rng.uniform(0.05, 1.0, grid.n_original)).padded(grid.n)
         cfg = EstimatorConfig(eps=float(10 ** rng.uniform(-4, -1)), seed=i,
                               noise_mode=("exact", "uniform")[i % 4 // 2])
