@@ -73,7 +73,10 @@ class ResourceLedger:
         for k, v in counts.items():
             if v:
                 total[k] = total.get(k, 0) + int(v)
-        return ResourceLedger(total, depth)
+        out = ResourceLedger.__new__(ResourceLedger)  # keeps ``total`` without a second copy
+        object.__setattr__(out, "_counts", total)
+        object.__setattr__(out, "depth_units", depth)
+        return out
 
     def count(self, key: str) -> int:
         return self._counts.get(key, 0)
@@ -95,8 +98,11 @@ class BlockEnc:
     """An (alpha, a, eps) block encoding of a diagonal operator.
 
     ``data`` is the operator's real diagonal, and the stored operator always
-    satisfies max|data| <= alpha + eps.  A writable array is copied; the
-    primitives pass theirs read-only (:func:`_owned`), so none is copied.
+    satisfies max|data| <= alpha + eps.  ``bound`` is an upper bound on
+    max|data|: the exact maximum when the constructor checks the data, and
+    the bound a primitive propagates from its inputs otherwise (see
+    :func:`_built`).  A writable array is copied; the primitives' own
+    arrays are kept read-only and uncopied.
     """
 
     data: np.ndarray
@@ -104,6 +110,7 @@ class BlockEnc:
     ancillas: int
     eps: float
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
+    bound: float = field(init=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -117,19 +124,7 @@ class BlockEnc:
             raise ValueError("operator data must be real")
         if not _is_pow2(self.dim):
             raise ValueError(f"dimension {self.dim} is not a power of two")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError("eps must be nonnegative and finite")
-        bound = float(np.abs(arr).max())
-        # written so that a NaN bound (from NaN data) fails it too
-        if not bound <= self.alpha + self.eps + _NORM_TOL:
-            if not np.isfinite(arr).all():
-                raise ValueError("operator data must be finite")
-            raise ValueError(
-                f"operator norm {bound:.6g} exceeds "
-                f"alpha + eps = {self.alpha + self.eps:.6g}"
-            )
+        object.__setattr__(self, "bound", _checked_bound(arr, self.alpha, self.eps))
 
     # -- structure ---------------------------------------------------------
 
@@ -143,15 +138,50 @@ class BlockEnc:
         return self.data.shape[0]
 
 
-def _owned(arr: np.ndarray) -> np.ndarray:
-    """A freshly computed array, read-only, for a BlockEnc to keep uncopied."""
-    arr.setflags(write=False)
-    return arr
+def _checked_bound(data: np.ndarray, alpha: float, eps: float, bound: float = math.inf) -> float:
+    """Check alpha and eps, then max|data| <= alpha + eps (up to
+    ``_NORM_TOL``) through ``bound``, an upper bound on max|data|; returns
+    the bound the encoding keeps.  Only when ``bound`` does not show the
+    norm is the data read, and then its exact maximum passes or raises."""
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
+    # an infinite bound shows nothing, even where alpha + eps overflows; a
+    # finite one also shows the data finite
+    if bound < math.inf and bound <= alpha + eps + _NORM_TOL:
+        return bound
+    bound = float(np.abs(data).max())
+    # written so that a NaN bound (from NaN data) fails it too
+    if not bound <= alpha + eps + _NORM_TOL:
+        if not np.isfinite(data).all():
+            raise ValueError("operator data must be finite")
+        raise ValueError(f"operator norm {bound:.6g} exceeds alpha + eps = {alpha + eps:.6g}")
+    return bound
+
+
+def _built(data: np.ndarray, alpha: float, ancillas: int, eps: float, ledger: ResourceLedger,
+           bound: float) -> BlockEnc:
+    """A primitive's output, checked as :class:`BlockEnc` checks it.
+
+    ``data`` is freshly computed from checked inputs, so it is a real 1-D
+    array of their power-of-two length; it is marked read-only and kept.
+    ``bound`` is an upper bound on max|data|: IEEE rounding is monotone, so
+    a bound computed from the inputs' bounds by the operations that
+    computed ``data`` from their data bounds the result.
+    """
+    data.setflags(write=False)
+    bound = _checked_bound(data, alpha, eps, bound)
+    out = object.__new__(BlockEnc)
+    out.__dict__.update(data=data, alpha=alpha, ancillas=ancillas, eps=eps, ledger=ledger, bound=bound)
+    return out
 
 
 def identity(n: int) -> BlockEnc:
     """The identity block encodes itself exactly (alpha = 1, eps = 0)."""
-    return BlockEnc(_owned(np.ones(n)), alpha=1.0, ancillas=0, eps=0.0)
+    if not _is_pow2(n):
+        raise ValueError(f"dimension {n} is not a power of two")
+    return _built(np.ones(n), 1.0, 0, 0.0, ResourceLedger(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -202,17 +232,35 @@ def shift(e: BlockEnc) -> BlockEnc:
     alpha, ancillas and eps are unchanged; the ledger charges its two uses,
     S and S^dagger, at log2(N) depth units each."""
     ledger = e.ledger.merged(depth_units=2 * _qubits(e.dim))
-    return BlockEnc(_owned(np.roll(e.data, -1)), alpha=e.alpha, ancillas=e.ancillas, eps=e.eps, ledger=ledger)
+    return _built(np.roll(e.data, -1), e.alpha, e.ancillas, e.eps, ledger, e.bound)
 
 
-def product(e1: BlockEnc, e2: BlockEnc) -> BlockEnc:
-    """Block encoding of A1 A2: alpha = alpha1*alpha2, ancillas add, and
-    eps <= alpha1*eps2 + alpha2*eps1, using each input once."""
-    if e1.dim != e2.dim:
-        raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    return BlockEnc(_owned(e1.data * e2.data), alpha=e1.alpha * e2.alpha,
-                    ancillas=e1.ancillas + e2.ancillas, eps=e1.alpha * e2.eps + e2.alpha * e1.eps,
-                    ledger=e1.ledger.merged(e2.ledger, products=1))
+def product(*encodings: BlockEnc) -> BlockEnc:
+    """Block encoding of A1 A2 ... Ak, using each input once.
+
+    Folded left to right as the chain product(product(A1, A2), A3) ...: each
+    step multiplies the alphas, adds the ancillas and states
+    eps <= alpha1*eps2 + alpha2*eps1 for its two factors, and each partial
+    product is checked as the chain's would be.  One factor is returned as
+    it is.
+    """
+    if not encodings:
+        raise ValueError("product requires at least one encoding")
+    first, *rest = encodings
+    if not rest:
+        return first
+    data, alpha, ancillas, eps, bound = first.data, first.alpha, first.ancillas, first.eps, first.bound
+    for i, e in enumerate(rest):
+        if i:  # the partial product so far
+            bound = _checked_bound(data, alpha, eps, bound)
+        if e.dim != first.dim:
+            raise ValueError(f"dimension mismatch: {first.dim} vs {e.dim}")
+        data = data * e.data
+        alpha, eps = alpha * e.alpha, alpha * e.eps + e.alpha * eps
+        ancillas += e.ancillas
+        bound *= e.bound
+    ledger = first.ledger.merged(*(e.ledger for e in rest), products=len(rest))
+    return _built(data, alpha, ancillas, eps, ledger, bound)
 
 
 def lcu(encodings, signs) -> BlockEnc:
@@ -231,16 +279,19 @@ def lcu(encodings, signs) -> BlockEnc:
             raise ValueError("lcu requires equal dimensions")
         if abs(e.alpha - alpha) > 1e-12 * max(1.0, alpha):
             raise ValueError("lcu requires equal alphas; rescale first")
-    data = _owned(sum(s * e.data for s, e in zip(signs, encodings)) / m)
-    ledger = encodings[0].ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m,
-                                        **{"lcu-combinations": 1})
-    return BlockEnc(
-        data,
-        alpha=alpha,
-        ancillas=max(e.ancillas for e in encodings) + max(1, (m - 1).bit_length()),
-        eps=max(e.eps for e in encodings),
-        ledger=ledger,
-    )
+    # sum(s_i * A_i) from 0, accumulated in one array: 0 + s*A is s*A + 0.0,
+    # which turns a -0.0 into 0.0
+    first = encodings[0]
+    data = (first.data if signs[0] > 0 else -first.data) + 0.0
+    bound = first.bound
+    for s, e in zip(signs[1:], encodings[1:]):
+        np.add(data, e.data if s > 0 else -e.data, out=data)
+        bound += e.bound
+    data /= m
+    ledger = first.ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m,
+                                 **{"lcu-combinations": 1})
+    return _built(data, alpha, max(e.ancillas for e in encodings) + max(1, (m - 1).bit_length()),
+                  max(e.eps for e in encodings), ledger, bound / m)
 
 
 def scale_down(e: BlockEnc, p: float) -> BlockEnc:
@@ -248,7 +299,7 @@ def scale_down(e: BlockEnc, p: float) -> BlockEnc:
     if not p > 1.0:
         raise ValueError(f"scaling factor must exceed 1, got {p}")
     ledger = e.ledger.merged(depth_units=1, scalings=1)
-    return BlockEnc(_owned(e.data / p), alpha=e.alpha, ancillas=e.ancillas + 1, eps=e.eps / p, ledger=ledger)
+    return _built(e.data / p, e.alpha, e.ancillas + 1, e.eps / p, ledger, e.bound / p)
 
 
 def amplification_uses(gamma: float) -> int:
@@ -267,7 +318,8 @@ def _amplify(e: BlockEnc, gamma: float, depth_units: int | None) -> BlockEnc:
     given, so a caller that accounts depth otherwise builds one encoding."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    smax = float(np.abs(e.data).max()) / e.alpha
+    data_max = float(np.abs(e.data).max())
+    smax = data_max / e.alpha
     if smax > (1.0 - _DELTA) / gamma + 1e-12:
         raise ValueError(
             f"amplification precondition violated: max singular value {smax:.6g} "
@@ -278,7 +330,7 @@ def _amplify(e: BlockEnc, gamma: float, depth_units: int | None) -> BlockEnc:
     eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
     ledger = e.ledger.merged(depth_units=m if depth_units is None else depth_units,
                              **{"amplification-uses": m})
-    return BlockEnc(_owned(gamma * e.data), alpha=e.alpha, ancillas=e.ancillas + 1, eps=eps_out, ledger=ledger)
+    return _built(gamma * e.data, e.alpha, e.ancillas + 1, eps_out, ledger, gamma * data_max)
 
 
 def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:

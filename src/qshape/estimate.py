@@ -123,9 +123,11 @@ def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
         raise ValueError("overlap gadget requires a state of the encoding's dimension")
     v = prep.state
     # the unitary dilation [(A/alpha) v ; sqrt(I - (A/alpha)^2) v] of |0>|v>,
-    # and |0>|v> as a zero-padded 2N vector
-    a = e.data / e.alpha
-    phi1 = np.concatenate([a * v, np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None)) * v])
+    # and |0>|v> as a zero-padded 2N vector.  A valid input may exceed alpha
+    # by up to its eps, and a unitary holds no block above 1, so the nearest
+    # one is dilated: clipping moves no entry by more than it is off.
+    a = np.clip(e.data / e.alpha, -1.0, 1.0)
+    phi1 = np.concatenate([a * v, np.sqrt(1.0 - a**2) * v])
     phi2 = np.zeros(2 * n)
     phi2[:n] = v
     # rows: the traced branch qubit and 2N-dim register; columns: the kept

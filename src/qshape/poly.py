@@ -146,14 +146,22 @@ class MultiPoly:
         return max(max(k) for _, k in self.terms)
 
     def __call__(self, x):
-        """Evaluate at x of shape (dim,) or (m, dim)."""
+        """Evaluate at x of shape (dim,) or (m, dim).  Each (axis, exponent)
+        power is computed once, and each term multiplies its factors in
+        axis order."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(pts.shape[0])
+        columns, powers = {}, {}
         for a, k in self.terms:
             mono = np.full(pts.shape[0], a)
             for j, kj in enumerate(k):
                 if kj:
-                    mono = mono * pts[:, j] ** kj
+                    pw = powers.get((j, kj))
+                    if pw is None:
+                        if j not in columns:
+                            columns[j] = np.ascontiguousarray(pts[:, j])
+                        pw = powers[j, kj] = columns[j] ** kj
+                    mono *= pw
             out += mono
         return out[0] if np.asarray(x).ndim == 1 else out
 

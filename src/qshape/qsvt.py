@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockenc as be
 from .blockenc import BlockEnc
 from .poly import Bounds, Poly, certified_sup
 
@@ -34,13 +35,13 @@ def transform(e: BlockEnc, P: Poly) -> BlockEnc:
         )
     d = P.degree
     data = P(e.data / e.alpha)
-    data.setflags(write=False)  # a fresh array, which BlockEnc then keeps uncopied
     eps_out = 4.0 * d * np.sqrt(e.eps / e.alpha) if e.eps > 0 else 0.0
     ledger = e.ledger.merged(
         depth_units=d * (e.ancillas + 1),
         **{"base-encoding-queries": d, "controlled-base-encoding-queries": 1},
     )
-    return BlockEnc(data, alpha=1.0, ancillas=e.ancillas + 2, eps=eps_out, ledger=ledger)
+    # no bound passes through P, so the output's own maximum is its bound
+    return be._built(data, 1.0, e.ancillas + 2, eps_out, ledger, float(np.abs(data).max()))
 
 
 @dataclass(frozen=True)

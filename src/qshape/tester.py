@@ -81,6 +81,8 @@ class Grid:
             pts = pts.copy()
             pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        if pts.size == 0:
+            raise ValueError("cannot build a grid from an empty point list")
         # written so that NaN coordinates fail it too
         if not np.max(np.abs(pts)) <= _REACH:
             raise ValueError("grid coordinates must lie in [-1/2, 1/2]")
@@ -128,16 +130,15 @@ class Grid:
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
-        """Midpoint-uniform univariate grid, one shared instance per n (see
-        :func:`_uniform_grid`); seeded uniform draws per axis for dim > 1."""
+        """Midpoint-uniform univariate grid; seeded uniform draws per axis
+        for dim > 1.  One shared instance per (n, dim, seed), see
+        :func:`_uniform_grid`."""
         if n < 2:
             raise ValueError("need at least two points")
         if n & (n - 1):
             raise ValueError(f"n = {n} is not a power of two")
-        if dim == 1:
-            return _uniform_grid(n)
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
-        return cls(points=rng.uniform(-_HALF, _HALF, size=(n, dim)), n_original=n)
+        # the univariate points do not depend on the seed
+        return _uniform_grid(n, dim, seed if dim > 1 else 0)
 
     @classmethod
     def from_points(cls, points) -> "Grid":
@@ -156,10 +157,13 @@ _INTERNED = 8
 
 
 @functools.lru_cache(maxsize=_INTERNED)
-def _uniform_grid(n: int) -> Grid:
-    """The midpoint-uniform univariate grid of n points.  Interned, so that
-    its encodings, mask and identities are built once per process."""
-    return Grid(points=(-_HALF + (np.arange(n) + 0.5) / n)[:, None], n_original=n)
+def _uniform_grid(n: int, dim: int, seed: int) -> Grid:
+    """:meth:`Grid.uniform`'s grid.  Interned, so that its encodings, mask
+    and identities are built once per process for each (n, dim, seed)."""
+    if dim == 1:
+        return Grid(points=(-_HALF + (np.arange(n) + 0.5) / n)[:, None], n_original=n)
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
+    return Grid(points=rng.uniform(-_HALF, _HALF, size=(n, dim)), n_original=n)
 
 
 @dataclass(frozen=True)
@@ -445,7 +449,7 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
     M_j = |c_j| + w_j/v, its sup over y in [-1, 1], and amplified by 2
     wherever the box keeps ((|c_j| + w_j/2)/M_j)^k within 3/4.  On a
     centred box P is y^k/2, and exponent 1 is the axis encoding itself.
-    Each term is a product of powers scaled once, against the largest
+    Each term is one product of its powers, scaled once against the largest
     weight C: a term's weight is |a prod_j M_j^k_j|, doubled for each of
     its unamplified powers.  The returned correction K*C, for K combined
     terms, undoes everything at estimation time.
@@ -485,7 +489,7 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
 
     weights, products, signs = [], [], []
     for a, k in f.terms:
-        weight, cur = a, None
+        weight, factors = a, []
         for j, kj in enumerate(k):
             try:
                 weight *= axes[j][2] ** kj
@@ -494,12 +498,12 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
             if kj:
                 pw, understated = power(j, kj)
                 weight *= understated
-                cur = pw if cur is None else be.product(cur, pw)
+                factors.append(pw)
         if not math.isfinite(weight):  # inf, or NaN where an underflow meets it
             raise ValueError(_BOX_OVERFLOW)
         if weight != 0.0:  # a weight that underflows drops its term, as a zero coefficient would
             weights.append(abs(weight))
-            products.append(be.identity(n) if cur is None else cur)
+            products.append(be.product(*factors) if factors else be.identity(n))
             signs.append(1 if a > 0 else -1)
     if not weights:
         return BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0), 1.0

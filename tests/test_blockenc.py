@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import re
 
@@ -264,18 +266,16 @@ def test_normalize_subnormalization_depth_is_logarithmic():
 
 
 
-def test_normalize_subnormalization_validates_one_encoding(monkeypatch):
+def test_normalize_subnormalization_validates_one_encoding(built_encodings):
     # the amplified encoding is built once, with its final ledger: amplify's
     # entries and the input's depth plus log2(N)
     x = np.linspace(-0.5, 0.5, 16)
     nrm = np.linalg.norm(x)
     d = be.diag_from_state(be.encode_state(x / nrm))
     want = be.amplify(d, nrm)
-    built = []
-    check = BlockEnc.__post_init__
-    monkeypatch.setattr(BlockEnc, "__post_init__", lambda self: built.append(self) or check(self))
+    built_encodings.clear()
     e = be.normalize_subnormalization(d, nrm)
-    assert len(built) == 1 and built[0] is e
+    assert len(built_encodings) == 1 and built_encodings[0] is e
     assert e.data.tobytes() == want.data.tobytes()
     assert (e.alpha, e.ancillas, e.eps) == (want.alpha, want.ancillas, want.eps)
     assert e.ledger.entries == want.ledger.entries
@@ -289,3 +289,206 @@ def test_normalize_subnormalization_keeps_the_amplify_precondition():
     with pytest.raises(ValueError) as got:
         be.normalize_subnormalization(d, 2.0)
     assert str(got.value) == str(want.value)
+
+
+# -- the primitives' checks through propagated bounds ---------------------
+#
+# Each primitive checks its output through the bound it propagates from its
+# inputs, and reads the data only when that bound does not show the norm.
+# The references below build the same fields through the constructor's full
+# check, as every primitive did before.
+
+_ALPHAS = st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300])
+_EPSILONS = st.sampled_from([0.0, 0.05, 1e-9, 0.3, 1e300])
+
+
+@st.composite
+def encodings(draw, dim=None, alpha=None, scale=1.0):
+    """A checked encoding whose entries include +-(alpha + eps), +-alpha and
+    signed zeros; ``scale`` shrinks every entry."""
+    dim = 2 ** draw(st.integers(0, 3)) if dim is None else dim
+    alpha = draw(_ALPHAS) if alpha is None else alpha
+    eps = draw(_EPSILONS)
+    top = alpha + eps
+    entry = st.one_of(st.sampled_from([top, -top, alpha, -alpha, 0.0, -0.0]),
+                      st.floats(-1.0, 1.0).map(lambda u: u * top))
+    data = np.array(draw(st.lists(entry, min_size=dim, max_size=dim))) * scale
+    return BlockEnc(data, alpha=alpha, ancillas=draw(st.integers(0, 3)), eps=eps, ledger=draw(_LEDGERS))
+
+
+def _outcome(build):
+    # an overflow warning, which the suite turns into an error, counts too
+    try:
+        return build()
+    except (ValueError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_checked_alike(lean, reference):
+    """The primitive accepts exactly when the constructor's full check of the
+    same fields does, with the same fields, or raises the same message."""
+    got, want = _outcome(lean), _outcome(reference)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, BlockEnc), got
+    assert got.data.tobytes() == want.data.tobytes()
+    assert (got.alpha, got.ancillas, got.eps, got.ledger) == (want.alpha, want.ancillas, want.eps, want.ledger)
+    assert got.bound >= float(np.abs(got.data).max())
+    assert not got.data.flags.writeable
+
+
+def _reference_product(e1, e2):
+    if e1.dim != e2.dim:
+        raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
+    return BlockEnc(e1.data * e2.data, alpha=e1.alpha * e2.alpha, ancillas=e1.ancillas + e2.ancillas,
+                    eps=e1.alpha * e2.eps + e2.alpha * e1.eps, ledger=e1.ledger.merged(e2.ledger, products=1))
+
+
+def _reference_chain(*es):
+    out = es[0]
+    for e in es[1:]:
+        out = _reference_product(out, e)
+    return out
+
+
+def _reference_lcu(es, signs):
+    m = len(es)
+    ledger = es[0].ledger.merged(*(e.ledger for e in es[1:]), depth_units=m, **{"lcu-combinations": 1})
+    return BlockEnc(sum(s * e.data for s, e in zip(signs, es)) / m, alpha=es[0].alpha,
+                    ancillas=max(e.ancillas for e in es) + max(1, (m - 1).bit_length()),
+                    eps=max(e.eps for e in es), ledger=ledger)
+
+
+@given(encodings())
+@settings(max_examples=100, deadline=None)
+def test_shift_is_checked_as_the_constructor_checks(e):
+    ledger = e.ledger.merged(depth_units=2 * int(math.log2(e.dim)))
+    assert_checked_alike(lambda: be.shift(e),
+                         lambda: BlockEnc(np.roll(e.data, -1), e.alpha, e.ancillas, e.eps, ledger))
+
+
+@given(st.data(), st.integers(0, 3), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_product_is_the_binary_chain(data, k, count):
+    es = [data.draw(encodings(dim=2**k)) for _ in range(count)]
+    assert_checked_alike(lambda: be.product(*es), lambda: _reference_chain(*es))
+
+
+_OVER = BlockEnc(np.array([1.05, 0.0]), alpha=1.0, ancillas=0, eps=0.05)
+_OVER_SWAPPED = BlockEnc(np.array([0.0, 1.05]), alpha=1.0, ancillas=0, eps=0.05)
+
+
+@pytest.mark.parametrize("factors, message", [
+    # (alpha + eps)^2 exceeds alpha^2 + 2 alpha eps, which the contract states
+    ((_OVER, _OVER), "operator norm 1.1025 exceeds alpha + eps = 1.1"),
+    ((_OVER, _OVER, _OVER), "operator norm 1.1025 exceeds alpha + eps = 1.1"),
+    # the bound 1.1025 does not show the norm, but the data, all zero, does
+    ((_OVER, _OVER_SWAPPED), None),
+    ((_OVER, _OVER_SWAPPED, _OVER), None),
+    ((_OVER, _OVER, _OVER_SWAPPED), "operator norm 1.1025 exceeds alpha + eps = 1.1"),
+    ((_OVER, BlockEnc(np.zeros(4), alpha=1.0, ancillas=0, eps=0.0)), "dimension mismatch: 2 vs 4"),
+], ids=["two", "three", "two-exact", "three-exact", "partial", "dims"])
+def test_product_raises_where_the_chain_raises(factors, message):
+    assert_checked_alike(lambda: be.product(*factors), lambda: _reference_chain(*factors))
+    if message is None:
+        assert be.product(*factors).bound == 0.0
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            be.product(*factors)
+
+
+def test_an_overflowing_alpha_plus_eps_still_reads_the_data():
+    # alpha + eps is inf, so only the data can show NaN
+    big = dict(alpha=1e308, ancillas=0, eps=1e308)
+    with pytest.raises(ValueError, match="^operator data must be finite$"):
+        BlockEnc(np.array([np.nan, 0.0]), **big)
+    top = BlockEnc(np.array([np.inf, 0.0]), **big)  # inf <= inf: accepted, as ever
+    assert_checked_alike(lambda: be.lcu([top, top], [1, -1]),
+                         lambda: _reference_lcu([top, top], [1, -1]))
+    assert_checked_alike(lambda: be.scale_down(top, 2.0),
+                         lambda: BlockEnc(top.data / 2.0, top.alpha, 1, top.eps / 2.0,
+                                          top.ledger.merged(depth_units=1, scalings=1)))
+
+
+def test_product_of_one_factor_is_the_factor():
+    assert be.product(_OVER) is _OVER
+    with pytest.raises(ValueError):
+        be.product()
+
+
+@given(st.data(), st.integers(0, 3), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=5), _ALPHAS)
+@settings(max_examples=200, deadline=None)
+def test_lcu_is_checked_as_the_constructor_checks(data, k, signs, alpha):
+    es = [data.draw(encodings(dim=2**k, alpha=alpha)) for _ in signs]
+    assert_checked_alike(lambda: be.lcu(es, signs), lambda: _reference_lcu(es, signs))
+
+
+def test_lcu_sums_signed_zeros_as_sum_from_zero():
+    # 0 + (-0.0) is 0.0, and a first -1 sign negates: the bytes of sum(s*d)/m
+    zeros = diag_enc([-0.0, 0.0, -0.0, 0.25])
+    other = diag_enc([-0.0, -0.0, 0.0, -0.0])
+    for es in ([zeros], [zeros, other], [other, zeros, other]):
+        for signs in itertools.product([1, -1], repeat=len(es)):
+            got = be.lcu(es, signs).data
+            assert got.tobytes() == (sum(s * e.data for s, e in zip(signs, es)) / len(es)).tobytes()
+
+
+@given(encodings(), st.sampled_from([1.0000001, 1.5, 2.0, 1e10, 1e300]))
+@settings(max_examples=100, deadline=None)
+def test_scale_down_is_checked_as_the_constructor_checks(e, p):
+    ledger = e.ledger.merged(depth_units=1, scalings=1)
+    assert_checked_alike(lambda: be.scale_down(e, p),
+                         lambda: BlockEnc(e.data / p, e.alpha, e.ancillas + 1, e.eps / p, ledger))
+
+
+@given(st.sampled_from([1.0, 0.5, 0.1, 0.01]).flatmap(lambda s: encodings(scale=s)),
+       st.floats(1.0001, 8.0))
+@settings(max_examples=100, deadline=None)
+def test_amplify_is_checked_as_the_constructor_checks(e, gamma):
+    smax = float(np.abs(e.data).max()) / e.alpha
+    m = be.amplification_uses(gamma)
+    ledger = e.ledger.merged(depth_units=m, **{"amplification-uses": m})
+    eps = gamma * e.eps + gamma * (smax * e.alpha) * 1e-6
+
+    def reference():
+        if smax > 0.75 / gamma + 1e-12:
+            be.amplify(e, gamma)  # raises the precondition's message
+        return BlockEnc(gamma * e.data, e.alpha, e.ancillas + 1, eps, ledger)
+
+    assert_checked_alike(lambda: be.amplify(e, gamma), reference)
+
+
+# polynomials whose certified sup is exactly 1/2 (or 0): an end reaches the
+# coefficient sum
+@given(encodings(), st.sampled_from([Poly([0.0, 0.5]), Poly([0.5]), Poly([0.25, 0.0, -0.25]),
+                                     Poly([0.0, 0.25, 0.0, 0.25]), Poly([-0.0])]))
+@settings(max_examples=100, deadline=None)
+def test_transform_is_checked_as_the_constructor_checks(e, p):
+    d = p.degree
+    ledger = e.ledger.merged(depth_units=d * (e.ancillas + 1),
+                             **{"base-encoding-queries": d, "controlled-base-encoding-queries": 1})
+
+    def reference():  # in transform's order, so that the same warning comes first
+        data = p(e.data / e.alpha)
+        eps = 4.0 * d * np.sqrt(e.eps / e.alpha) if e.eps > 0 else 0.0
+        return BlockEnc(data, 1.0, e.ancillas + 2, eps, ledger)
+
+    assert_checked_alike(lambda: transform(e, p), reference)
+
+
+def test_identity_is_checked_as_the_constructor_checks():
+    for n in (1, 2, 8, 3, 6):
+        assert_checked_alike(lambda: be.identity(n),
+                             lambda: BlockEnc(np.ones(n), alpha=1.0, ancillas=0, eps=0.0))
+
+
+def test_the_constructor_bound_is_the_exact_maximum():
+    e = diag_enc([0.25, -0.5, -0.0, 0.125])
+    assert e.bound == 0.5
+    # a primitive passes its inputs' bounds on without reading its data,
+    # whose maximum here is 0.25
+    assert be.product(e, diag_enc([1.0, 0.0, 0.0, 0.0])).bound == 0.5
+    # the bound is not an argument, and encodings do not compare by it
+    bound = {f.name: f for f in dataclasses.fields(BlockEnc)}["bound"]
+    assert not bound.init and not bound.compare

@@ -92,14 +92,21 @@ def test_method_all_encodes_the_grid_once(tmp_path, monkeypatch, grid):
     assert len(calls) == (1 if grid["kind"] == "uniform" else 5)
 
 
-def test_only_uniform_univariate_grids_are_shared_between_calls():
+def test_only_uniform_grids_are_shared_between_calls():
+    # one uniform grid per (n, dim, seed), the univariate one for any seed;
+    # explicit grids are built per call
     box = _box([(0.6, 1.4)], False)
     uniform = {"grid": {"kind": "uniform", "n": 16}}
     explicit = {"grid": {"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3]}}
-    assert _build_grid(uniform, 1, box, None, 0) is _build_grid(uniform, 1, box, None, 0)
+    assert _build_grid(uniform, 1, box, None, 0) is _build_grid(uniform, 1, box, None, 5)
     assert _build_grid(explicit, 1, box, None, 0) is not _build_grid(explicit, 1, box, None, 0)
     box2 = _box([(0.6, 1.4)] * 2, True)
-    assert _build_grid(uniform, 2, box2, None, 0) is not _build_grid(uniform, 2, box2, None, 0)
+    assert _build_grid(uniform, 2, box2, None, 3) is _build_grid(uniform, 2, box2, None, 3)
+    assert _build_grid(uniform, 2, box2, None, 3) is not _build_grid(uniform, 2, box2, None, 4)
+    assert _build_grid(uniform, 2, box2, None, 3) is not _build_grid(uniform, 3, _box([(0.6, 1.4)] * 3, True),
+                                                                      None, 3)
+    explicit2 = {"grid": {"kind": "explicit", "points": [[0.7, 0.7], [0.9, 1.3]]}}
+    assert _build_grid(explicit2, 2, box2, None, 0) is not _build_grid(explicit2, 2, box2, None, 0)
 
 
 SHARED_GRID_RUNS = [
@@ -107,6 +114,11 @@ SHARED_GRID_RUNS = [
     (dict(CUBIC, grid={"kind": "uniform", "n": 8}), ("--method", "first-deriv", "--eps", "1e-4")),
     (dict(CUBIC, grid={"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3, 1.35]}),
      ("--method", "all")),
+    # a seeded multivariate grid, shared by the calls with its seed
+    ({"schema": 1, "poly": {"kind": "multi", "dim": 2,
+                            "terms": [{"a": 1.0, "k": [2, 0]}, {"a": -0.5, "k": [1, 3]}, {"a": 0.25, "k": [0, 4]}]},
+      "domain": [[0.5, 2.0], [-1.0, 1.5]], "grid": {"kind": "uniform", "n": 8}},
+     ("--method", "jensen", "--seed", "9", "--noise", "uniform", "--eps", "0.001")),
 ]
 
 

@@ -225,6 +225,9 @@ def test_overlap_gadget_matches_dense_reference():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
+# an input entry between alpha and alpha + eps: the dilation must not
+# read it as above 1
+@example(seed=16527, frac=1.0)
 def test_overlap_gadget_eps_covers_an_input_off_by_its_eps(seed, frac):
     """Each entry of the gadget of any A whose entries are within e.eps of
     e's moves by at most the eps the gadget of e states."""
@@ -238,15 +241,13 @@ def test_overlap_gadget_eps_covers_an_input_off_by_its_eps(seed, frac):
     assert np.max(np.abs(g_off.data - g.data)) <= g.eps + 1e-12
 
 
-def test_overlap_gadget_validates_two_encodings(monkeypatch):
+def test_overlap_gadget_validates_two_encodings(built_encodings):
     # the density matrix and the combination; the subtracted I/2 is built
     # once, on import
     e, prep = next(_gadget_cases())
-    built = []
-    check = BlockEnc.__post_init__
-    monkeypatch.setattr(BlockEnc, "__post_init__", lambda self: built.append(self) or check(self))
+    built_encodings.clear()
     g = overlap_gadget(e, prep)
-    assert len(built) == 2 and built[-1] is g
+    assert len(built_encodings) == 2 and built_encodings[-1] is g
 
 
 def test_overlap_gadget_dimension_mismatch():

@@ -299,6 +299,45 @@ def test_multipoly_eval_and_dedup():
     np.testing.assert_allclose(f(pts), [1.05, 0.0])
 
 
+def _reference_multipoly_call(f: MultiPoly, x):
+    """MultiPoly evaluation term by term, each power recomputed."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros(pts.shape[0])
+    for a, k in f.terms:
+        mono = np.full(pts.shape[0], a)
+        for j, kj in enumerate(k):
+            if kj:
+                mono = mono * pts[:, j] ** kj
+        out += mono
+    return out[0] if np.asarray(x).ndim == 1 else out
+
+
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                         st.floats(-3.0, 3.0, allow_subnormal=True))
+
+
+@st.composite
+def _multipolys_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.floats(-4.0, 4.0).filter(bool),
+                                    st.tuples(*[st.integers(0, 12)] * dim)), min_size=1, max_size=8))
+    m = draw(st.sampled_from([1, 8]))
+    pts = np.array(draw(st.lists(st.lists(_COORDINATES, min_size=dim, max_size=dim),
+                                 min_size=m, max_size=m)))
+    return MultiPoly(terms, dim), pts
+
+
+@given(_multipolys_and_points())
+@settings(max_examples=200, deadline=None)
+def test_multipoly_call_is_the_per_term_evaluation(case):
+    # each power computed once is the power each term computed for itself
+    f, pts = case
+    for x in (pts, pts[0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = f(x), _reference_multipoly_call(f, x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_json_round_trip():
     # the literal dicts are the JSON forms of the polynomials they parse to
     cases = [({"kind": "uni", "coeffs": [1.0, 0.0, -0.5]}, Poly([1.0, 0.0, -0.5])),

@@ -47,6 +47,16 @@ def test_grid_rejects_out_of_domain():
         Grid.from_points([0.0, 0.9])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Grid.from_points([]),
+    lambda: Grid.from_points(np.zeros((0, 2))),
+    lambda: Grid(points=np.zeros((0, 1)), n_original=1),
+], ids=["empty-list", "empty-2d", "direct"])
+def test_grid_names_an_empty_point_list(build):
+    with pytest.raises(ValueError, match="^cannot build a grid from an empty point list$"):
+        build()
+
+
 def test_grid_padding_repeats_last_point():
     g = Grid.from_points([-0.4, 0.0, 0.3])
     assert g.n == 4 and g.n_original == 3
@@ -85,9 +95,19 @@ def test_uniform_grids_and_weights_are_shared():
         assert Grid.uniform(n) is Grid.uniform(n)
         assert WeightVector.uniform(n) is WeightVector.uniform(n)
     assert Grid.uniform(8) is not Grid.uniform(16)
-    # seeded multivariate draws and explicit grids are built per call
-    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=2, seed=1)
+    # seeded multivariate draws are shared per (n, dim, seed); a univariate
+    # grid does not depend on the seed; explicit grids are built per call
+    assert Grid.uniform(8, dim=2, seed=1) is Grid.uniform(8, dim=2, seed=1)
+    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=2, seed=2)
+    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=3, seed=1)
+    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(16, dim=2, seed=1)
+    assert Grid.uniform(8, seed=1) is Grid.uniform(8, seed=2)
     assert Grid.from_points([-0.4, 0.1]) is not Grid.from_points([-0.4, 0.1])
+    seeded = Grid.uniform(8, dim=2, seed=1)
+    rng = np.random.default_rng([1, 0xD1CE])
+    assert seeded.points.tobytes() == rng.uniform(-0.5, 0.5, size=(8, 2)).tobytes()
+    assert not seeded.points.flags.writeable
+    assert not any(e.data.flags.writeable for e in seeded.axis_encodings)
     g, w = Grid.uniform(8), WeightVector.uniform(8)
     assert w.sqrt_state is w.sqrt_state
     assert w.sqrt_state.state.tobytes() == np.sqrt(w.lambdas).tobytes()
