@@ -132,7 +132,7 @@ def _to_user(t, box):
     return (centre + width * np.asarray(t)).tolist()
 
 
-def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
+def _build_grid(obj: dict, dim: int, box, n_flag) -> Grid:
     """The problem's grid in working coordinates t."""
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
     if not isinstance(spec, dict):
@@ -146,7 +146,7 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
             padded = 1 << (n - 1).bit_length()
             _warn(f"grid size {n} is not a power of two; using {padded}")
             n = padded
-        return Grid.uniform(n, dim=dim, seed=seed)
+        return Grid.uniform(n, dim=dim)
     if kind == "explicit":
         pts = _finite_array(spec.get("points"), "explicit grid points")
         if pts.ndim == 1:
@@ -173,15 +173,14 @@ def _build_grid(obj: dict, dim: int, box, n_flag, seed: int) -> Grid:
 def _weights(obj: dict, grid: Grid) -> WeightVector:
     raw = obj.get("weights")
     if raw is None:
-        w = WeightVector.uniform(grid.n_original)
-    else:
-        try:
-            w = WeightVector(_finite_array(raw, "weights"))
-        except ValueError as exc:
-            raise InputError(f"bad weights: {exc}") from exc
-        if w.n != grid.n_original:
-            raise InputError(f"{w.n} weights for {grid.n_original} grid points")
-    return w.padded(grid.n)
+        return WeightVector.uniform(grid.n_original)
+    try:
+        w = WeightVector(_finite_array(raw, "weights"))
+    except ValueError as exc:
+        raise InputError(f"bad weights: {exc}") from exc
+    if w.n != grid.n_original:
+        raise InputError(f"{w.n} weights for {grid.n_original} grid points")
+    return w
 
 
 def _witness_to_user(witness, box, method: str):
@@ -255,7 +254,7 @@ def run(args) -> int:
         box = _box(domains, multi)
         # a "multi" polynomial keeps the user's terms, and Jensen reads it on the box
         f = f_raw if multi else remap_domain(f_raw, *domains[0])[0]
-        grid = _build_grid(problem, dim, box, args.n, seed)
+        grid = _build_grid(problem, dim, box, args.n)
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
             raise InputError("--eps must be positive and finite")

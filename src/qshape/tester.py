@@ -129,16 +129,16 @@ class Grid:
         return be.identity(self.n)
 
     @classmethod
-    def uniform(cls, n: int, dim: int = 1, seed: int = 0) -> "Grid":
-        """Midpoint-uniform univariate grid; seeded uniform draws per axis
-        for dim > 1.  One shared instance per (n, dim, seed), see
-        :func:`_uniform_grid`."""
-        if n < 2:
-            raise ValueError("need at least two points")
+    def uniform(cls, n: int, dim: int = 1) -> "Grid":
+        """The tensor product of midpoint grids: axis j takes b_j of the
+        log2 n bits, split as evenly as possible with the first axes taking
+        the rest, and holds the midpoints -1/2 + (i + 1/2)/2^{b_j}, each
+        combination once.  One shared instance per (n, dim)."""
+        if n < 2**dim:
+            raise ValueError(f"a uniform grid of dim {dim} needs at least 2^{dim} = {2**dim} points; got {n}")
         if n & (n - 1):
             raise ValueError(f"n = {n} is not a power of two")
-        # the univariate points do not depend on the seed
-        return _uniform_grid(n, dim, seed if dim > 1 else 0)
+        return _uniform_grid(n, dim)
 
     @classmethod
     def from_points(cls, points) -> "Grid":
@@ -157,13 +157,14 @@ _INTERNED = 8
 
 
 @functools.lru_cache(maxsize=_INTERNED)
-def _uniform_grid(n: int, dim: int, seed: int) -> Grid:
+def _uniform_grid(n: int, dim: int) -> Grid:
     """:meth:`Grid.uniform`'s grid.  Interned, so that its encodings, mask
-    and identities are built once per process for each (n, dim, seed)."""
-    if dim == 1:
-        return Grid(points=(-_HALF + (np.arange(n) + 0.5) / n)[:, None], n_original=n)
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
-    return Grid(points=rng.uniform(-_HALF, _HALF, size=(n, dim)), n_original=n)
+    and identities are built once per process for each (n, dim)."""
+    bits = n.bit_length() - 1
+    axes = [-_HALF + (np.arange(m) + 0.5) / m
+            for m in (1 << (bits // dim + (j < bits % dim)) for j in range(dim))]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(n, dim)
+    return Grid(points=points, n_original=n)
 
 
 @dataclass(frozen=True)
@@ -572,11 +573,10 @@ def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box
     as convexity evidence for this weight/grid collection only (the
     inequality at one finite collection is necessary, not sufficient).
     """
-    if w.n != grid.n:
-        if w.n == grid.n_original:
-            w = w.padded(grid.n)
-        else:
-            raise ValueError("weight count must match grid size")
+    if w.n == grid.n_original:
+        w = w.padded(grid.n)
+    elif w.n != grid.n:
+        raise ValueError("weight count must match grid size")
     center = _jensen_center(grid, w)
     if isinstance(f, MultiPoly):
         if f.dim != grid.dim:

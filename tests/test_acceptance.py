@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_tester import seeded_grid
 
 from qshape.blockenc import BlockEnc
 from qshape.cli import main
@@ -204,7 +205,7 @@ def test_criterion_5_jensen_estimates():
                 for _ in range(k_terms)
             )
             f = MultiPoly(terms, grid_dim)
-            grid = Grid.uniform(n, dim=grid_dim, seed=trial)
+            grid = seeded_grid(n, grid_dim, trial)
         w = WeightVector.normalized(rng.uniform(0.05, 1.0, n))
         v = test_convex_jensen(f, grid, w, cfg)
         res = oracle_convex(f, grid.points, weights=w.lambdas)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_poly import _reference_call, _reference_compose_affine, _reference_derivative
+from test_tester import seeded_grid
 
 import qshape.poly
 import qshape.tester
@@ -92,21 +93,50 @@ def test_method_all_encodes_the_grid_once(tmp_path, monkeypatch, grid):
     assert len(calls) == (1 if grid["kind"] == "uniform" else 5)
 
 
-def test_only_uniform_grids_are_shared_between_calls():
-    # one uniform grid per (n, dim, seed), the univariate one for any seed;
-    # explicit grids are built per call
+# a univariate and a multivariate problem on uniform grids
+SEED_FREE = {
+    "uni": CUBIC,
+    "multi": {"schema": 1, "poly": {"kind": "multi", "dim": 2,
+                                    "terms": [{"a": 1.0, "k": [2, 0]}, {"a": 1.0, "k": [0, 2]},
+                                              {"a": 0.3, "k": [1, 1]}]},
+              "grid": {"kind": "uniform", "n": 16},
+              "weights": (np.arange(1.0, 17.0) / 136.0).tolist()},
+}
+
+
+def test_only_uniform_grids_are_shared_between_calls(tmp_path):
+    # one uniform grid per (n, dim), whatever the seed; explicit grids are
+    # built per call
     box = _box([(0.6, 1.4)], False)
     uniform = {"grid": {"kind": "uniform", "n": 16}}
     explicit = {"grid": {"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3]}}
-    assert _build_grid(uniform, 1, box, None, 0) is _build_grid(uniform, 1, box, None, 5)
-    assert _build_grid(explicit, 1, box, None, 0) is not _build_grid(explicit, 1, box, None, 0)
+    assert _build_grid(uniform, 1, box, None) is _build_grid(uniform, 1, box, None)
+    assert _build_grid(explicit, 1, box, None) is not _build_grid(explicit, 1, box, None)
     box2 = _box([(0.6, 1.4)] * 2, True)
-    assert _build_grid(uniform, 2, box2, None, 3) is _build_grid(uniform, 2, box2, None, 3)
-    assert _build_grid(uniform, 2, box2, None, 3) is not _build_grid(uniform, 2, box2, None, 4)
-    assert _build_grid(uniform, 2, box2, None, 3) is not _build_grid(uniform, 3, _box([(0.6, 1.4)] * 3, True),
-                                                                      None, 3)
+    assert _build_grid(uniform, 2, box2, None) is _build_grid(uniform, 2, box2, None)
+    assert _build_grid(uniform, 2, box2, None) is not _build_grid(uniform, 3, _box([(0.6, 1.4)] * 3, True), None)
     explicit2 = {"grid": {"kind": "explicit", "points": [[0.7, 0.7], [0.9, 1.3]]}}
-    assert _build_grid(explicit2, 2, box2, None, 0) is not _build_grid(explicit2, 2, box2, None, 0)
+    assert _build_grid(explicit2, 2, box2, None) is not _build_grid(explicit2, 2, box2, None)
+    # calls at two seeds build one multivariate grid between them
+    qshape.tester._uniform_grid.cache_clear()
+    for seed in ("3", "4"):
+        run_cli(tmp_path, SEED_FREE["multi"], "--seed", seed, "--noise", "uniform")
+    info = qshape.tester._uniform_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_exact_reports_do_not_depend_on_the_seed(tmp_path):
+    # --seed seeds the estimators' noise only, so under exact noise a
+    # uniform grid's report is the same bytes at any seed, in any dim
+    for kind, prob in SEED_FREE.items():
+        inp = write(tmp_path, prob)
+        reports = []
+        for seed in ("0", "7"):
+            rep = tmp_path / f"{kind}-{seed}.json"
+            code = main(["test", "--input", inp, "--report", str(rep), "--noise", "exact",
+                         "--eps", "0.001", "--seed", seed])
+            reports.append((code, rep.read_bytes()))
+        assert reports[0] == reports[1], kind
 
 
 SHARED_GRID_RUNS = [
@@ -114,7 +144,7 @@ SHARED_GRID_RUNS = [
     (dict(CUBIC, grid={"kind": "uniform", "n": 8}), ("--method", "first-deriv", "--eps", "1e-4")),
     (dict(CUBIC, grid={"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3, 1.35]}),
      ("--method", "all")),
-    # a seeded multivariate grid, shared by the calls with its seed
+    # a multivariate grid, shared by every call with its n and dim
     ({"schema": 1, "poly": {"kind": "multi", "dim": 2,
                             "terms": [{"a": 1.0, "k": [2, 0]}, {"a": -0.5, "k": [1, 3]}, {"a": 0.25, "k": [0, 4]}]},
       "domain": [[0.5, 2.0], [-1.0, 1.5]], "grid": {"kind": "uniform", "n": 8}},
@@ -307,6 +337,16 @@ def test_zero_axis_error_on_an_off_centre_box(tmp_path, capsys, case):
         assert code in (0, 2) and rep["outcome"]
 
 
+@pytest.mark.parametrize("n, dim", [(2, 2), (4, 3), (3, 3)])
+def test_uniform_grid_needs_two_points_per_axis(tmp_path, capsys, n, dim):
+    poly = {"kind": "multi", "dim": dim, "terms": [{"a": 1.0, "k": [2] * dim}]}
+    code, rep = run_cli(tmp_path, {"schema": 1, "poly": poly, "grid": {"kind": "uniform", "n": n}})
+    assert code == 1 and rep is None
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert err == [f"error: a uniform grid of dim {dim} needs at least 2^{dim} = {2**dim} points; "
+                   f"got {1 << (n - 1).bit_length()}"]
+
+
 def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
     prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.0, 0.0, 1.0]},
             "grid": {"kind": "uniform", "n": 8}}
@@ -396,7 +436,7 @@ def test_bad_schema_is_exit_1(tmp_path, capsys):
 def test_grid_too_large_to_allocate_is_exit_1(tmp_path, capsys, monkeypatch, extra):
     # the failed allocation is simulated: a host that overcommits memory
     # may grant a real 8 TiB request
-    def too_large(n, dim=1, seed=0):
+    def too_large(n, dim=1):
         raise MemoryError(f"Unable to allocate a grid of {n} points")
 
     monkeypatch.setattr(Grid, "uniform", staticmethod(too_large))
@@ -744,10 +784,12 @@ def test_narrow_far_box_costs_the_centred_powers(tmp_path):
     """x^6 - y^6 on [10, 10.5]^2: the gadget side's powers read
     M = 10.25 + 4 (0.5) = 12.25 and are amplified, the grid side's read
     M = 10.75 and are not, since (10.5/10.75)^6 > 3/4; the u = x/s map had
-    lhs_scale 7.03e11 and rhs_scale 6.86e8 here."""
+    lhs_scale 7.03e11 and rhs_scale 6.86e8 here.  The 8 points are the
+    seeded ones the oracle was first checked on."""
+    points = 10.25 + 0.5 * seeded_grid(8, 2, 0).points
     prob = {"schema": 1, "poly": {"kind": "multi", "dim": 2,
                                   "terms": [{"a": 1.0, "k": [6, 0]}, {"a": -1.0, "k": [0, 6]}]},
-            "domain": [[10.0, 10.5]] * 2, "grid": {"kind": "uniform", "n": 8}}
+            "domain": [[10.0, 10.5]] * 2, "grid": {"kind": "explicit", "points": points.tolist()}}
     code, rep = run_cli(tmp_path, prob, "--method", "jensen", "--eps", "1e-3")
     assert code == 0 and rep["agreement"] is True
     est = rep["estimates"]
@@ -857,7 +899,7 @@ def test_box_map_matches_reference_bytes(dim):
         user = np.array([[a + (b - a) * t for a, b in domains]
                          for t in rng.uniform(0.0, 1.0, size=8)])
         raw = user[:, 0].tolist() if not multi else user.tolist()
-        grid = _build_grid({"grid": {"kind": "explicit", "points": raw}}, dim, box, None, 0)
+        grid = _build_grid({"grid": {"kind": "explicit", "points": raw}}, dim, box, None)
         reference = Grid.from_points(_reference_to_working(user, domains))
         assert grid.points.tobytes() == reference.points.tobytes()
 
@@ -1053,6 +1095,8 @@ def _uni(coeffs, **extra):
 @example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]}),
           ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"]))
 @example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), []))
+@example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 3, "terms": [{"a": 1.0, "k": [2, 0, 0]}]},
+               grid={"kind": "uniform", "n": 4}), ["--method", "jensen"]))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
     problem, flags = case

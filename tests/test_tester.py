@@ -32,6 +32,14 @@ from qshape.tester import (
 CFG = EstimatorConfig(eps=0.01, seed=0, noise_mode="exact")
 
 
+def seeded_grid(n: int, dim: int, seed: int) -> Grid:
+    """The n seeded random points that ``Grid.uniform(n, dim, seed)`` gave
+    for dim > 1 before uniform grids were tensor products, as an explicit
+    grid: tests whose subject is not the grid design keep their inputs."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xD1CE])
+    return Grid.from_points(rng.uniform(-0.5, 0.5, size=(n, dim)))
+
+
 # -- domain types ----------------------------------------------------------
 
 
@@ -40,6 +48,32 @@ def test_grid_uniform_midpoints():
     assert g.n == 8 and g.dim == 1
     np.testing.assert_allclose(g.x, -0.5 + (np.arange(8) + 0.5) / 8)
     assert np.max(np.abs(g.x)) < 0.5  # strictly interior
+
+
+def test_uniform_grid_is_a_tensor_product_of_midpoint_grids():
+    # (n, dim): the m_j midpoints per axis, the first axes taking the odd bits
+    cases = {(2, 1): (2,), (8, 1): (8,), (512, 1): (512,), (4, 2): (2, 2), (8, 2): (4, 2),
+             (32, 2): (8, 4), (8, 3): (2, 2, 2), (64, 3): (4, 4, 4), (128, 3): (8, 4, 4),
+             (256, 3): (8, 8, 4), (16, 4): (2, 2, 2, 2)}
+    for (n, dim), sizes in cases.items():
+        g = Grid.uniform(n, dim)
+        assert g.points.shape == (n, dim) and g.n_original == n
+        for j, m in enumerate(sizes):
+            values, counts = np.unique(g.points[:, j], return_counts=True)
+            assert values.tobytes() == (-0.5 + (np.arange(m) + 0.5) / m).tobytes()
+            assert counts.tolist() == [n // m] * m
+        # every combination of the axes' midpoints occurs once
+        assert len({tuple(p) for p in g.points.tolist()}) == n
+    # the univariate grid is the n-point midpoint grid, bit for bit
+    for n in (2, 8, 64, 1024):
+        assert Grid.uniform(n).x.tobytes() == (-0.5 + (np.arange(n) + 0.5) / n).tobytes()
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (2, 2), (4, 3), (0, 1), (8, 4)])
+def test_uniform_grid_needs_two_midpoints_per_axis(n, dim):
+    with pytest.raises(ValueError, match=rf"^a uniform grid of dim {dim} needs at least "
+                                         rf"2\^{dim} = {2**dim} points; got {n}$"):
+        Grid.uniform(n, dim)
 
 
 def test_grid_rejects_out_of_domain():
@@ -95,19 +129,16 @@ def test_uniform_grids_and_weights_are_shared():
         assert Grid.uniform(n) is Grid.uniform(n)
         assert WeightVector.uniform(n) is WeightVector.uniform(n)
     assert Grid.uniform(8) is not Grid.uniform(16)
-    # seeded multivariate draws are shared per (n, dim, seed); a univariate
-    # grid does not depend on the seed; explicit grids are built per call
-    assert Grid.uniform(8, dim=2, seed=1) is Grid.uniform(8, dim=2, seed=1)
-    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=2, seed=2)
-    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(8, dim=3, seed=1)
-    assert Grid.uniform(8, dim=2, seed=1) is not Grid.uniform(16, dim=2, seed=1)
-    assert Grid.uniform(8, seed=1) is Grid.uniform(8, seed=2)
+    # multivariate grids are shared per (n, dim) too; explicit grids are
+    # built per call
+    assert Grid.uniform(8, dim=2) is Grid.uniform(8, dim=2)
+    assert Grid.uniform(8, dim=2) is not Grid.uniform(8, dim=3)
+    assert Grid.uniform(8, dim=2) is not Grid.uniform(16, dim=2)
+    assert Grid.uniform(8, dim=1) is Grid.uniform(8)
     assert Grid.from_points([-0.4, 0.1]) is not Grid.from_points([-0.4, 0.1])
-    seeded = Grid.uniform(8, dim=2, seed=1)
-    rng = np.random.default_rng([1, 0xD1CE])
-    assert seeded.points.tobytes() == rng.uniform(-0.5, 0.5, size=(8, 2)).tobytes()
-    assert not seeded.points.flags.writeable
-    assert not any(e.data.flags.writeable for e in seeded.axis_encodings)
+    multi = Grid.uniform(8, dim=2)
+    assert not multi.points.flags.writeable
+    assert not any(e.data.flags.writeable for e in multi.axis_encodings)
     g, w = Grid.uniform(8), WeightVector.uniform(8)
     assert w.sqrt_state is w.sqrt_state
     assert w.sqrt_state.state.tobytes() == np.sqrt(w.lambdas).tobytes()
@@ -252,7 +283,7 @@ def _band_cases(cfg):
         w = WeightVector.normalized(rng.uniform(0.1, 1.0, 5))
         yield (*_jensen_verdict(f, padded, w, cfg), padded, w.padded(8))
     for f in _BAND_MULTIPOLYS:
-        grid = Grid.uniform(8, dim=f.dim, seed=5)
+        grid = Grid.uniform(8, dim=f.dim)
         for w in (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8))):
             yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
 
@@ -573,8 +604,9 @@ def _reference_jensen_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cf
 
 
 def _jensen_problems():
-    """Random univariate and 2-3 axis multivariate problems, on uniform and
-    padded explicit grids, with padded weights, in both noise modes."""
+    """Random univariate and 2-3 axis multivariate problems, on uniform,
+    seeded and padded explicit grids, with padded weights, in both noise
+    modes."""
     rng = np.random.default_rng(1806)
     for i in range(60):
         multi = i % 2 == 1
@@ -587,7 +619,8 @@ def _jensen_problems():
             f = Poly(rng.normal(size=int(rng.integers(1, 9))))
         m = int(rng.integers(2, 17))
         if i % 3 == 0:
-            grid = Grid.uniform(_next_pow2(m), dim=dim, seed=i)
+            n = _next_pow2(m)
+            grid = Grid.uniform(n) if dim == 1 else seeded_grid(n, dim, i)
         else:
             pts = rng.uniform(-0.5, 0.5, size=(m, dim))
             grid = Grid.from_points(np.sort(pts, axis=0) if dim == 1 else pts)
@@ -705,7 +738,7 @@ def _multivariate_builds():
         terms = [(float(rng.normal()), tuple(int(v) for v in rng.integers(0, 5, size=dim)))
                  for _ in range(int(rng.integers(2, 9)))]
         f = MultiPoly(terms, dim)
-        grid = Grid.uniform(16, dim=dim, seed=i)
+        grid = Grid.uniform(16, dim=dim)
         axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(dim)]
         sqrt_lam = be.encode_state(np.sqrt(WeightVector.uniform(grid.n).lambdas))
         gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
@@ -840,7 +873,7 @@ def test_multivariate_jensen_scales_on_centred_boxes():
                  for _ in range(int(rng.integers(2, 13)))]
         f = MultiPoly(terms, dim)
         widths = rng.uniform(0.5, 3.0, size=dim)
-        grid = Grid.uniform(16, dim=dim, seed=i)
+        grid = Grid.uniform(16, dim=dim)
         w = WeightVector.normalized(rng.exponential(1.0, grid.n))
         v = test_convex_jensen(f, grid, w, CFG, box=(np.zeros(dim), widths))
         c_max = 0.0
