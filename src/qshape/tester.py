@@ -134,8 +134,9 @@ class Grid:
         log2 n bits, split as evenly as possible with the first axes taking
         the rest, and holds the midpoints -1/2 + (i + 1/2)/2^{b_j}, each
         combination once.  One shared instance per (n, dim)."""
-        if n < 2**dim:
-            raise ValueError(f"a uniform grid of dim {dim} needs at least 2^{dim} = {2**dim} points; got {n}")
+        if n < 2 or n.bit_length() - 1 < dim:
+            least = f"2^{dim} = {1 << dim}" if dim <= 64 else f"2^{dim}"
+            raise ValueError(f"a uniform grid of dim {dim} needs at least {least} points; got {n}")
         if n & (n - 1):
             raise ValueError(f"n = {n} is not a power of two")
         return _uniform_grid(n, dim)

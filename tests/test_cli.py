@@ -337,13 +337,14 @@ def test_zero_axis_error_on_an_off_centre_box(tmp_path, capsys, case):
         assert code in (0, 2) and rep["outcome"]
 
 
-@pytest.mark.parametrize("n, dim", [(2, 2), (4, 3), (3, 3)])
-def test_uniform_grid_needs_two_points_per_axis(tmp_path, capsys, n, dim):
+@pytest.mark.parametrize("n, dim, least", [(2, 2, "2^2 = 4"), (4, 3, "2^3 = 8"), (3, 3, "2^3 = 8"),
+                                           (64, 20000, "2^20000")])
+def test_uniform_grid_needs_two_points_per_axis(tmp_path, capsys, n, dim, least):
     poly = {"kind": "multi", "dim": dim, "terms": [{"a": 1.0, "k": [2] * dim}]}
     code, rep = run_cli(tmp_path, {"schema": 1, "poly": poly, "grid": {"kind": "uniform", "n": n}})
     assert code == 1 and rep is None
     err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
-    assert err == [f"error: a uniform grid of dim {dim} needs at least 2^{dim} = {2**dim} points; "
+    assert err == [f"error: a uniform grid of dim {dim} needs at least {least} points; "
                    f"got {1 << (n - 1).bit_length()}"]
 
 

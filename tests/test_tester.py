@@ -69,11 +69,15 @@ def test_uniform_grid_is_a_tensor_product_of_midpoint_grids():
         assert Grid.uniform(n).x.tobytes() == (-0.5 + (np.arange(n) + 0.5) / n).tobytes()
 
 
-@pytest.mark.parametrize("n, dim", [(1, 1), (2, 2), (4, 3), (0, 1), (8, 4)])
-def test_uniform_grid_needs_two_midpoints_per_axis(n, dim):
-    with pytest.raises(ValueError, match=rf"^a uniform grid of dim {dim} needs at least "
-                                         rf"2\^{dim} = {2**dim} points; got {n}$"):
+@pytest.mark.parametrize("n, dim, least", [
+    (1, 1, "2^1 = 2"), (2, 2, "2^2 = 4"), (4, 3, "2^3 = 8"), (0, 1, "2^1 = 2"), (8, 4, "2^4 = 16"),
+    (1 << 63, 64, "2^64 = 18446744073709551616"), (4, 65, "2^65"),
+    # 2^20000 has more digits than Python writes out of an int by default
+    (4, 20000, "2^20000")])
+def test_uniform_grid_needs_two_midpoints_per_axis(n, dim, least):
+    with pytest.raises(ValueError) as err:
         Grid.uniform(n, dim)
+    assert str(err.value) == f"a uniform grid of dim {dim} needs at least {least} points; got {n}"
 
 
 def test_grid_rejects_out_of_domain():
@@ -283,9 +287,10 @@ def _band_cases(cfg):
         w = WeightVector.normalized(rng.uniform(0.1, 1.0, 5))
         yield (*_jensen_verdict(f, padded, w, cfg), padded, w.padded(8))
     for f in _BAND_MULTIPOLYS:
-        grid = Grid.uniform(8, dim=f.dim)
-        for w in (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8))):
-            yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
+        weights = (WeightVector.uniform(8), WeightVector.normalized(rng.uniform(0.1, 1.0, 8)))
+        for grid in (seeded_grid(8, f.dim, 5), Grid.uniform(8, dim=f.dim)):
+            for w in weights:
+                yield (*_jensen_verdict(f, grid, w, cfg), grid, w)
 
 
 def test_threshold_band_margin_and_witness():
@@ -619,8 +624,11 @@ def _jensen_problems():
             f = Poly(rng.normal(size=int(rng.integers(1, 9))))
         m = int(rng.integers(2, 17))
         if i % 3 == 0:
+            # below 2^dim points (multi-15, multi-21) a tensor grid would
+            # leave an axis without two midpoints, so these keep their
+            # seeded points
             n = _next_pow2(m)
-            grid = Grid.uniform(n) if dim == 1 else seeded_grid(n, dim, i)
+            grid = Grid.uniform(n, dim=dim) if n >= 2**dim else seeded_grid(n, dim, i)
         else:
             pts = rng.uniform(-0.5, 0.5, size=(m, dim))
             grid = Grid.from_points(np.sort(pts, axis=0) if dim == 1 else pts)
@@ -738,7 +746,9 @@ def _multivariate_builds():
         terms = [(float(rng.normal()), tuple(int(v) for v in rng.integers(0, 5, size=dim)))
                  for _ in range(int(rng.integers(2, 9)))]
         f = MultiPoly(terms, dim)
-        grid = Grid.uniform(16, dim=dim)
+        # seeded points: on a tensor grid every column is symmetric about 0,
+        # so each uniform-weight gadget would hold w = 0 on every axis
+        grid = Grid.uniform(16) if dim == 1 else seeded_grid(16, dim, i)
         axis_encs = [encode_grid_values(grid.points[:, j]) for j in range(dim)]
         sqrt_lam = be.encode_state(np.sqrt(WeightVector.uniform(grid.n).lambdas))
         gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
