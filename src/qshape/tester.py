@@ -130,11 +130,10 @@ class Grid:
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1) -> "Grid":
-        """The tensor product of midpoint grids: axis j takes b_j of the
-        log2 n bits, split as evenly as possible with the first axes taking
-        the rest, and holds the midpoints -1/2 + (i + 1/2)/2^{b_j}, each
-        combination once.  One shared instance per (n, dim)."""
-        if n < 2 or n.bit_length() - 1 < dim:
+        """The tensor product of midpoint grids: axis j takes b_j of the log2 n
+        bits (split evenly, the first axes taking the rest) and holds the
+        midpoints -1/2 + (i + 1/2)/2^{b_j}.  One shared instance per (n, dim)."""
+        if n < 2 or n.bit_length() - 1 < dim:  # 2^dim itself may be too long to write
             least = f"2^{dim} = {1 << dim}" if dim <= 64 else f"2^{dim}"
             raise ValueError(f"a uniform grid of dim {dim} needs at least {least} points; got {n}")
         if n & (n - 1):
