@@ -1,10 +1,11 @@
 """Multivariate Jensen testing.
 
 Per-axis diagonal encodings are raised to powers of the box coordinate
-x_j = c_j + w_j t_j (here the working domain itself, so x = t), multiplied
-across axes, each term scaled once against the largest, and combined into
-one diagonal encoding of f(x)/(K*C); the tracked correction K*C is undone
-at estimation time, on the grid and on the Jensen gadgets alike.
+x_j = c_j + w_j t_j (here the working domain itself, so x = t) and
+multiplied across axes; one weighted LCU sums the terms under their
+weights a_i into a diagonal encoding of f(x)/sum_i |a_i|.  The tracked
+correction sum_i |a_i| is undone at estimation time, on the grid and on
+the Jensen gadgets alike.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ f = MultiPoly(((0.3, (1, 1)), (0.5, (2, 0))), 2)
 pts = np.array([[0.4, 0.2], [-0.3, 0.1]])
 encs = [encode_grid_values(pts[:, j]) for j in range(2)]
 e, correction = build_multivariate_M(f, encs)
-print(f"correction K*C = {correction}")
+print(f"correction sum |a_i| = {correction}  (below K*max|a_i| = 2 * 0.5)")
 print("entries * correction:", np.round(e.data * correction, 6))
 print("direct evaluation:  ", np.round(f(pts), 6), "\n")
 

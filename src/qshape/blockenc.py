@@ -263,35 +263,45 @@ def product(*encodings: BlockEnc) -> BlockEnc:
     return _built(data, alpha, ancillas, eps, ledger, bound)
 
 
-def lcu(encodings, signs) -> BlockEnc:
-    """Linear combination (sum_i s_i A_i) / m of m equal-alpha encodings."""
-    encodings = list(encodings)
+def lcu(encodings, weights) -> BlockEnc:
+    """Linear combination (sum_i c_i A_i) / s, s = sum_i |c_i|, of m
+    equal-alpha encodings with nonzero finite real weights c_i (Childs &
+    Wiebe, arXiv:1202.5822; Gilyen, Su, Low, Wiebe, arXiv:1806.01838, Lemma
+    52).  Inputs off by eps_i leave it off by sum_i |c_i| eps_i / s.  Unequal
+    |c_i| charge the weight state's preparation and its inverse, at
+    ceil(log2 m) depth units each; equal ones are Hadamards."""
+    encodings, weights = list(encodings), [float(c) for c in weights]
     if not encodings:
         raise ValueError("lcu requires at least one encoding")
-    m = len(encodings)
-    signs = [int(s) for s in signs]
-    if len(signs) != m or any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be a matching sequence of +1/-1")
-    dim = encodings[0].dim
-    alpha = encodings[0].alpha
-    for e in encodings:
-        if e.dim != dim:
-            raise ValueError("lcu requires equal dimensions")
-        if abs(e.alpha - alpha) > 1e-12 * max(1.0, alpha):
-            raise ValueError("lcu requires equal alphas; rescale first")
-    # sum(s_i * A_i) from 0, accumulated in one array: 0 + s*A is s*A + 0.0,
+    m, first = len(encodings), encodings[0]
+    if len(weights) != m:
+        raise ValueError(f"lcu takes one weight per encoding: {len(weights)} weights for {m} encodings")
+    if not all(c != 0.0 and math.isfinite(c) for c in weights):  # NaN fails the second
+        raise ValueError("lcu weights must be nonzero and finite")
+    try:
+        norm = math.fsum(map(abs, weights))  # exactly rounded: m itself for weights +-1
+    except OverflowError:
+        raise ValueError("lcu weights overflow: their sum of magnitudes is not finite") from None
+    if any(e.dim != first.dim for e in encodings):
+        raise ValueError("lcu requires equal dimensions")
+    if any(abs(e.alpha - first.alpha) > 1e-12 * max(1.0, first.alpha) for e in encodings):
+        raise ValueError("lcu requires equal alphas; rescale first")
+    # sum(c_i * A_i) from 0, accumulated in one array: 0 + c*A is c*A + 0.0,
     # which turns a -0.0 into 0.0
-    first = encodings[0]
-    data = (first.data if signs[0] > 0 else -first.data) + 0.0
-    bound = first.bound
-    for s, e in zip(signs[1:], encodings[1:]):
-        np.add(data, e.data if s > 0 else -e.data, out=data)
-        bound += e.bound
-    data /= m
-    ledger = first.ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m,
-                                 **{"lcu-combinations": 1})
-    return _built(data, alpha, max(e.ancillas for e in encodings) + max(1, (m - 1).bit_length()),
-                  max(e.eps for e in encodings), ledger, bound / m)
+    data = weights[0] * first.data + 0.0
+    bound = abs(weights[0]) * first.bound
+    for c, e in zip(weights[1:], encodings[1:]):
+        np.add(data, c * e.data, out=data)
+        bound += abs(c) * e.bound
+    data /= norm
+    index_qubits = (m - 1).bit_length()
+    prep = 0 if all(abs(c) == abs(weights[0]) for c in weights) else 2
+    ledger = first.ledger.merged(*(e.ledger for e in encodings[1:]), depth_units=m + prep * index_qubits,
+                                 **{"lcu-combinations": 1, "state-prep-queries": prep})
+    # each |c_i|/s is at most 1, so a partial sum overflows only where the mean does
+    eps = sum(abs(c) / norm * e.eps for c, e in zip(weights, encodings))
+    return _built(data, first.alpha, max(e.ancillas for e in encodings) + max(1, index_qubits),
+                  eps, ledger, bound / norm)
 
 
 def scale_down(e: BlockEnc, p: float) -> BlockEnc:

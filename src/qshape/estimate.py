@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import (
-    BlockEnc,
-    ResourceLedger,
-    StatePrep,
-    identity,
-    lcu,
-    scale_down,
-)
+from .blockenc import BlockEnc, ResourceLedger, StatePrep, identity, lcu, scale_down
 
 __all__ = [
     "EstimatorConfig",

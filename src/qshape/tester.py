@@ -450,10 +450,10 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
     M_j = |c_j| + w_j/v, its sup over y in [-1, 1], and amplified by 2
     wherever the box keeps ((|c_j| + w_j/2)/M_j)^k within 3/4.  On a
     centred box P is y^k/2, and exponent 1 is the axis encoding itself.
-    Each term is one product of its powers, scaled once against the largest
-    weight C: a term's weight is |a prod_j M_j^k_j|, doubled for each of
-    its unamplified powers.  The returned correction K*C, for K combined
-    terms, undoes everything at estimation time.
+    Each term is one product of its powers, weighted by a prod_j M_j^k_j,
+    doubled for each of its unamplified powers, and one weighted ``lcu``
+    sums the terms.  The returned correction, the sum of the weights'
+    magnitudes, undoes everything at estimation time.
     """
     axis_encodings = list(axis_encodings)
     if len(axis_encodings) != f.dim:
@@ -488,7 +488,7 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
             return be.amplify(pw, 2.0), 1.0
         return pw, 2.0
 
-    weights, products, signs = [], [], []
+    weights, products = [], []
     for a, k in f.terms:
         weight, factors = a, []
         for j, kj in enumerate(k):
@@ -503,18 +503,15 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
         if not math.isfinite(weight):  # inf, or NaN where an underflow meets it
             raise ValueError(_BOX_OVERFLOW)
         if weight != 0.0:  # a weight that underflows drops its term, as a zero coefficient would
-            weights.append(abs(weight))
+            weights.append(weight)
             products.append(be.product(*factors) if factors else be.identity(n))
-            signs.append(1 if a > 0 else -1)
     if not weights:
         return BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0), 1.0
-    c_max = max(weights)
-    correction = len(weights) * c_max
-    if not math.isfinite(correction):
-        raise ValueError(_BOX_OVERFLOW)
-    combined = be.lcu([p if wt == c_max else be.scale_down(p, c_max / wt)
-                       for p, wt in zip(products, weights)], signs)
-    return combined, correction
+    try:
+        correction = math.fsum(map(abs, weights))  # the sum lcu divides by
+    except OverflowError:
+        raise ValueError(_BOX_OVERFLOW) from None
+    return be.lcu(products, weights), correction
 
 
 def _jensen_center(grid: Grid, w: WeightVector) -> np.ndarray:

@@ -239,7 +239,7 @@ def test_criterion_6_multivariate_fidelity():
     report(
         "criterion 6 multivariate encoding fidelity",
         worst <= 1e-10,
-        f"max |entries*(K*C) - f| = {worst:.2e}",
+        f"max |entries*correction - f| = {worst:.2e}",
     )
 
 

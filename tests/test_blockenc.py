@@ -220,6 +220,47 @@ def test_lcu_requires_equal_alphas():
         be.lcu([diag_enc([0.5, 0.5]), diag_enc([0.5, 0.5], alpha=2.0)], [1, 1])
 
 
+def test_lcu_weights_each_term_and_normalizes_by_their_magnitudes():
+    e1 = diag_enc([0.5, 0.25], eps=0.04, alpha=1.0)
+    e2 = diag_enc([0.25, -0.5], eps=0.01, alpha=1.0)
+    c = be.lcu([e1, e2], [3.0, -1.0])
+    assert c.data.tobytes() == ((3.0 * e1.data - e2.data) / 4.0).tobytes()
+    assert (c.alpha, c.bound) == (1.0, (3.0 * 0.5 + 0.5) / 4.0)
+    # the mean of the inputs' eps under the weights |c_i| / s, not the larger
+    assert c.eps == pytest.approx((3.0 * 0.04 + 0.01) / 4.0)
+    # unequal magnitudes prepare the weight state and unprepare it: two
+    # preparations on ceil(log2 2) = 1 index qubit, on top of the m = 2
+    # depth units of the combination
+    assert c.ledger == ResourceLedger.of(depth_units=2 + 2, **{"lcu-combinations": 1, "state-prep-queries": 2})
+    # equal magnitudes are Hadamards, charged as before
+    h = be.lcu([e1, e2, e1], [-0.5, 0.5, 0.5])
+    assert h.ledger == ResourceLedger.of(depth_units=3, **{"lcu-combinations": 1})
+    assert h.data.tobytes() == ((-0.5 * e1.data + 0.5 * e2.data + 0.5 * e1.data) / 1.5).tobytes()
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, 0.0], "lcu weights must be nonzero and finite"),
+    ([1.0, -0.0], "lcu weights must be nonzero and finite"),
+    ([math.nan, 1.0], "lcu weights must be nonzero and finite"),
+    ([1.0, math.inf], "lcu weights must be nonzero and finite"),
+    ([-math.inf, 1.0], "lcu weights must be nonzero and finite"),
+    ([1.0], "lcu takes one weight per encoding: 1 weights for 2 encodings"),
+    ([1.0, 1.0, 1.0], "lcu takes one weight per encoding: 3 weights for 2 encodings"),
+    ([1e308, -1e308], "lcu weights overflow: their sum of magnitudes is not finite"),
+], ids=["zero", "negative-zero", "nan", "inf", "minus-inf", "too-few", "too-many", "overflow"])
+def test_lcu_refuses_bad_weights(weights, message):
+    es = [diag_enc([0.5, 0.25]), diag_enc([0.25, 0.5])]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        be.lcu(es, weights)
+
+
+def test_lcu_keeps_a_fractional_weight():
+    # a weight of 1.7 is 1.7, not the sign it was once truncated to
+    e1, e2 = diag_enc([0.5, 0.25]), diag_enc([0.25, 0.5])
+    assert be.lcu([e1, e2], [1.7, -1]).data.tobytes() != be.lcu([e1, e2], [1, -1]).data.tobytes()
+    assert be.lcu([e1, e2], [1.7, -1]).data.tobytes() == ((1.7 * e1.data - e2.data) / 2.7).tobytes()
+
+
 def test_scale_down():
     e = diag_enc([0.5, -0.5], eps=0.1)
     s = be.scale_down(e, 2.0)
@@ -352,12 +393,14 @@ def _reference_chain(*es):
     return out
 
 
-def _reference_lcu(es, signs):
-    m = len(es)
-    ledger = es[0].ledger.merged(*(e.ledger for e in es[1:]), depth_units=m, **{"lcu-combinations": 1})
-    return BlockEnc(sum(s * e.data for s, e in zip(signs, es)) / m, alpha=es[0].alpha,
+def _reference_lcu(es, weights):
+    m, s = len(es), math.fsum(abs(c) for c in weights)
+    prep = 0 if len({abs(c) for c in weights}) == 1 else 2
+    ledger = es[0].ledger.merged(*(e.ledger for e in es[1:]), depth_units=m + prep * (m - 1).bit_length(),
+                                 **{"lcu-combinations": 1, "state-prep-queries": prep})
+    return BlockEnc(sum(c * e.data for c, e in zip(weights, es)) / s, alpha=es[0].alpha,
                     ancillas=max(e.ancillas for e in es) + max(1, (m - 1).bit_length()),
-                    eps=max(e.eps for e in es), ledger=ledger)
+                    eps=sum(abs(c) / s * e.eps for c, e in zip(weights, es)), ledger=ledger)
 
 
 @given(encodings())
@@ -417,11 +460,34 @@ def test_product_of_one_factor_is_the_factor():
         be.product()
 
 
-@given(st.data(), st.integers(0, 3), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=5), _ALPHAS)
+_WEIGHTS = st.one_of(st.sampled_from([1, -1, 1e-300, -1e300]),
+                    st.floats(-4.0, 4.0).filter(lambda c: c != 0.0))
+
+
+@given(st.data(), st.integers(0, 3), st.lists(_WEIGHTS, min_size=1, max_size=5), _ALPHAS)
+@settings(max_examples=300, deadline=None)
+def test_lcu_is_checked_as_the_constructor_checks(data, k, weights, alpha):
+    es = [data.draw(encodings(dim=2**k, alpha=alpha)) for _ in weights]
+    assert_checked_alike(lambda: be.lcu(es, weights), lambda: _reference_lcu(es, weights))
+
+
+@given(st.data(), st.integers(0, 3), st.lists(_WEIGHTS.filter(lambda c: 1e-3 < abs(c) < 1e3),
+                                              min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_lcu_is_checked_as_the_constructor_checks(data, k, signs, alpha):
-    es = [data.draw(encodings(dim=2**k, alpha=alpha)) for _ in signs]
-    assert_checked_alike(lambda: be.lcu(es, signs), lambda: _reference_lcu(es, signs))
+def test_lcu_eps_covers_inputs_off_by_their_eps(data, k, weights):
+    """Inputs moved by at most their eps move the combination by at most
+    its stated eps, and by exactly that much where every input moves by its
+    whole eps in its weight's direction."""
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=2**k, max_size=2**k).map(np.array)
+    es = [diag_enc(data.draw(unit), eps=data.draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3])))
+          for _ in weights]
+    fracs = [data.draw(unit) for _ in weights]
+    out = be.lcu(es, weights)
+    for moves in (fracs, [np.full(2**k, math.copysign(1.0, c)) for c in weights]):
+        off = [dataclasses.replace(e, data=e.data + u * e.eps) for e, u in zip(es, moves)]
+        moved = float(np.max(np.abs(be.lcu(off, weights).data - out.data)))
+        assert moved <= out.eps + 1e-12
+    assert moved == pytest.approx(out.eps, abs=1e-12)
 
 
 def test_lcu_sums_signed_zeros_as_sum_from_zero():

@@ -166,7 +166,7 @@ def _reference_two_states(e, prep):
 def _dense_overlap_gadget(prep1, prep2, w_eps):
     """The gadget of two states whose overlap w is known to +-w_eps: the
     density matrix holds (1 +- w)/2, so it is stated at w_eps/2, and lcu
-    passes the larger of its inputs' eps on."""
+    passes the mean of its inputs' eps on, w_eps/4 beside the exact I/2."""
     n = prep1.dim
     psi = np.zeros((2, n, 2))
     psi[0, :, 0] = (prep1.state + prep2.state) / 2.0
@@ -180,7 +180,7 @@ def _dense_overlap_gadget(prep1, prep2, w_eps):
     op = sum(s * m for s, m in zip([1, -1], [rho, np.diag(half.data)])) / 2
     ledger = rho_ledger.merged(half.ledger).merged(ResourceLedger.of(depth_units=2, **{"lcu-combinations": 1}))
     ancillas = max(int(math.log2(2 * n)), half.ancillas) + 1
-    return op, 1.0, ancillas, max(w_eps / 2.0, half.eps), ledger
+    return op, 1.0, ancillas, (w_eps / 2.0 + half.eps) / 2.0, ledger
 
 
 def _gadget_cases():

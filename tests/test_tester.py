@@ -686,8 +686,26 @@ def test_multivariate_encoding_coefficients():
     pts = np.array([[0.4, 0.2], [-0.3, 0.1]])
     encs = [encode_grid_values(pts[:, j]) for j in range(2)]
     e, corr = build_multivariate_M(f, encs)
-    assert corr == pytest.approx(2 * 0.5)  # K = 2, C = 0.5
+    assert corr == 0.3 + 0.5  # the weights' magnitudes, summed
     np.testing.assert_allclose(e.data * corr, f(pts), atol=1e-12)
+
+
+def test_multivariate_encoding_sums_unequal_weights_once():
+    """Unequal term weights: one weighted lcu, normalized by the sum of
+    their magnitudes, which lies below K times the largest; the ledger
+    charges the weight state's preparation and its inverse, and no scaling."""
+    f = MultiPoly(((0.3, (1, 1)), (-0.5, (2, 0)), (0.125, (0, 0))), 2)
+    pts = np.array([[0.4, 0.2], [-0.3, 0.1]])
+    bare = [BlockEnc(pts[:, j], alpha=1.0, ancillas=0, eps=0.0) for j in range(2)]
+    e, corr = build_multivariate_M(f, bare)
+    assert corr == math.fsum([0.3, 0.5, 0.125]) < 3 * 0.5
+    np.testing.assert_allclose(e.data * corr, f(pts), atol=1e-12)
+    assert e.ledger.count("scalings") == 0
+    # the same terms under equal magnitudes are combined through Hadamards;
+    # unequal ones add two preparations on ceil(log2 3) = 2 index qubits
+    equal, _ = build_multivariate_M(MultiPoly(((0.5, (1, 1)), (-0.5, (2, 0)), (0.5, (0, 0))), 2), bare)
+    assert equal.ledger.count("state-prep-queries") == 0
+    assert e.ledger == equal.ledger.merged(depth_units=2 * 2, **{"state-prep-queries": 2})
 
 
 def _reference_multivariate_M(f: MultiPoly, axis_encodings, box=None, value_scale: float = 1.0):
@@ -695,7 +713,7 @@ def _reference_multivariate_M(f: MultiPoly, axis_encodings, box=None, value_scal
     Python floats: per use, one transform of ((c + w y/v)/M)^k / 2 with
     M = |c| + w/v, amplified by 2 where ((|c| + w/2)/M)^k <= 3/4 (at the
     grid's 1e-9 tolerance) and otherwise doubling the term's weight
-    |a prod M^k|; then each term scaled once against the largest weight."""
+    a prod M^k; then one lcu of the terms under their weights."""
     n = axis_encodings[0].dim
     centres, widths = box if box is not None else ([0.0] * f.dim, [1.0] * f.dim)
     terms = []
@@ -718,10 +736,9 @@ def _reference_multivariate_M(f: MultiPoly, axis_encodings, box=None, value_scal
                 else:
                     weight *= 2.0
             cur = pw if cur is None else be.product(cur, pw)
-        terms.append((abs(weight), 1 if a > 0 else -1, be.identity(n) if cur is None else cur))
-    c_max = max(wt for wt, _, _ in terms)
-    scaled = [e if wt == c_max else be.scale_down(e, c_max / wt) for wt, _, e in terms]
-    return be.lcu(scaled, [sign for _, sign, _ in terms]), len(terms) * c_max
+        terms.append((weight, be.identity(n) if cur is None else cur))
+    weights = [wt for wt, _ in terms]
+    return be.lcu([e for _, e in terms], weights), math.fsum(abs(wt) for wt in weights)
 
 
 def _random_box(rng, i, dim):
@@ -792,7 +809,7 @@ def test_multivariate_encoding_builds_each_power_once(monkeypatch):
 
 
 def _reference_correction(f: MultiPoly, box, value_scale: float):
-    """The correction K*C of the rule the build follows, term by term and
+    """The correction sum |w| of the rule the build follows, term by term and
     axis by axis in Python floats, or None where the box overflows: a term
     weight is a prod_j M_j^k_j, doubled for each power that the box does
     not let be amplified; terms whose weight underflows to 0 drop out."""
@@ -813,8 +830,10 @@ def _reference_correction(f: MultiPoly, box, value_scale: float):
             weights.append(abs(weight))
     if not weights:
         return 1.0
-    correction = len(weights) * max(weights)
-    return correction if math.isfinite(correction) else None
+    try:
+        return math.fsum(weights)
+    except OverflowError:  # raised by fsum where finite terms sum past the largest float
+        return None
 
 
 @st.composite
@@ -863,19 +882,19 @@ def test_multivariate_box_weights_match_per_term_reference(case):
     assert correction.hex() == want.hex()
 
 
-def test_multivariate_encoding_scales_each_term_at_most_once():
-    """On encodings whose own ledgers hold no scaling, the encoding's
-    scalings count is at most its term count, on both sides of Jensen and
-    on every kind of box."""
-    for i, (_, f, encs, box, value_scale) in enumerate(_multivariate_builds()):
+def test_multivariate_encoding_adds_no_scalings():
+    """On encodings whose own ledgers hold no scaling, the encoding holds
+    none either, on both sides of Jensen and on every kind of box: the
+    weighted lcu weights each term itself."""
+    for _, f, encs, box, value_scale in _multivariate_builds():
         bare = [BlockEnc(e.data, alpha=1.0, ancillas=0, eps=0.0) for e in encs]
         e, _ = build_multivariate_M(f, bare, box, value_scale)
-        assert e.ledger.count("scalings") <= f.term_count
+        assert e.ledger.count("scalings") == 0
 
 
 def test_multivariate_jensen_scales_on_centred_boxes():
     """On a centred box every power is amplified, so the right side's scale
-    is 4 K max|a prod w^k| and the left side's at most 4^L times less the 4."""
+    is 4 sum |a prod w^k| and the left side's at most 4^L times less the 4."""
     rng = np.random.default_rng(2503)
     for i in range(40):
         dim = int(rng.integers(2, 4))
@@ -886,14 +905,15 @@ def test_multivariate_jensen_scales_on_centred_boxes():
         grid = Grid.uniform(16, dim=dim)
         w = WeightVector.normalized(rng.exponential(1.0, grid.n))
         v = test_convex_jensen(f, grid, w, CFG, box=(np.zeros(dim), widths))
-        c_max = 0.0
+        weights = []
         for a, k in f.terms:
             for wj, kj in zip(widths.tolist(), k):
                 a *= wj**kj
-            c_max = max(c_max, abs(a))
-        k_l = f.term_count * c_max
-        assert v.estimates["rhs_scale"] == 4.0 * k_l
-        assert v.estimates["lhs_scale"] <= k_l * 4.0 ** max(sum(k) for _, k in f.terms)
+            weights.append(abs(a))
+        total = math.fsum(weights)
+        assert total < f.term_count * max(weights)  # the K*C of scaling each term to the largest
+        assert v.estimates["rhs_scale"] == 4.0 * total
+        assert v.estimates["lhs_scale"] <= total * 4.0 ** max(sum(k) for _, k in f.terms)
         res = oracle_convex(f, widths * grid.points, weights=w.lambdas)
         assert v.estimates["jensen_lhs"] == pytest.approx(res.details["lhs"], rel=1e-9, abs=1e-9)
         assert v.estimates["jensen_rhs"] == pytest.approx(res.details["rhs"], rel=1e-9, abs=1e-9)
