@@ -17,6 +17,7 @@ from .estimate import EstimatorConfig
 from .oracle import oracle_convex, oracle_monotone
 from .poly import MultiPoly, poly_from_json, remap_domain
 from .tester import (
+    _REACH,
     Grid,
     Outcome,
     WeightVector,
@@ -161,7 +162,7 @@ def _build_grid(obj: dict, dim: int, box, n_flag) -> Grid:
         # a point that overflows here fails the range check below
         with np.errstate(over="ignore"):
             working = (pts - centre) / width
-        if np.max(np.abs(working)) > 0.5 + 1e-9:
+        if np.max(np.abs(working)) > _REACH:
             raise InputError("explicit points fall outside the declared domain")
         m = pts.shape[0]
         if m & (m - 1):
@@ -226,8 +227,6 @@ def _run_method(method: str, f, grid: Grid, w: WeightVector, cfg: EstimatorConfi
         "oracle": None,
         "agreement": None,
     }
-    if verdict.reason is not None:
-        report["reason"] = verdict.reason
     if oracle_check:
         res = oracle()
         report["oracle"] = {

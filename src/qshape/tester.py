@@ -1,11 +1,12 @@
 """End-to-end shape-testing pipelines over grids of sample points.
 
-Four tests: second-derivative, first-derivative (consecutive differences
-of f' through the cyclic shift), Jensen (univariate and multivariate), and
-monotonicity.  Every verdict is margin-aware: positive verdicts are
-evidence at the sampled points, negative verdicts carry a directly
-checkable witness, and estimates inside the 2*eps band around a decision
-threshold come back Inconclusive.
+Four tests: second-derivative and monotonicity (the sign of f'' or of
++-f' at the grid points, through one pipeline), first-derivative
+(consecutive differences of f' through the cyclic shift), and Jensen
+(univariate and multivariate).  Every verdict is margin-aware: positive
+verdicts are evidence at the sampled points, negative verdicts carry a
+directly checkable witness, and estimates inside the 2*eps band around a
+decision threshold come back Inconclusive.
 """
 
 from __future__ import annotations
@@ -235,7 +236,6 @@ class Verdict:
     margin: float
     ledger: ResourceLedger
     witness: object = None
-    reason: str | None = None
     grid_semantics: str = "evidence at sampled points"
 
 
@@ -302,32 +302,45 @@ def _threshold_test(shifted: BlockEnc, outcomes: tuple[str, str], witness_fn,
 
 
 # --------------------------------------------------------------------------
-# second-derivative test
+# second-derivative and monotonicity tests
+
+
+def _derivative_sign_test(f: Poly, grid: Grid, cfg: EstimatorConfig, order: int, sign: int,
+                          outcomes: tuple[str, str], bound_name: str, salt: int) -> Verdict:
+    """Sign of sign*f^(order) at the grid points (order 1 or 2, sign +1 or
+    -1) via the largest eigenvalue of (I - sign*M_order)/2 against the
+    threshold 1/2.  A derivative that vanishes identically encodes as zero,
+    so the eigenvalue is 1/2 itself and the verdict Inconclusive."""
+    if grid.dim != 1:
+        raise ValueError("the derivative-sign tests are univariate")
+    bounds = Bounds.from_poly(f)
+    fam = build_M_family(f, grid.axis_encodings[0], bounds)
+    m, bound = (fam.M1, bounds.d1_sup) if order == 1 else (fam.M2, bounds.d2_sup)
+    shifted = be.lcu([grid.identity, m], [1, -sign])
+
+    def worst_point():
+        xs = grid.original_points[:, 0]
+        return float(xs[int(np.argmin(sign * f.derivative(order)(xs)))])
+
+    return _threshold_test(shifted, outcomes, worst_point, bound_name, bound, cfg, salt)
 
 
 def test_convex_second_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> Verdict:
     """Sign of min f'' on the grid via the largest eigenvalue of
     (I - M2)/2 against the threshold 1/2."""
-    if grid.dim != 1:
-        raise ValueError("second-derivative test is univariate")
-    bounds = Bounds.from_poly(f)
-    fam = build_M_family(f, grid.axis_encodings[0], bounds)
-    if f.degree < 2:
-        return Verdict(
-            outcome=Outcome.INCONCLUSIVE,
-            estimates={"degree": float(f.degree)},
-            margin=0.0,
-            ledger=fam.M2.ledger,
-            reason="second derivative is identically zero (degree < 2)",
-        )
-    shifted = be.lcu([grid.identity, fam.M2], [1, -1])
+    return _derivative_sign_test(f, grid, cfg, 2, 1, _CONVEXITY,
+                                 "second_derivative_bound", _SALT_SECOND)
 
-    def lowest_curvature():
-        xs = grid.original_points[:, 0]
-        return float(xs[int(np.argmin(f.derivative(2)(xs)))])
 
-    return _threshold_test(shifted, _CONVEXITY, lowest_curvature,
-                           "second_derivative_bound", bounds.d2_sup, cfg, _SALT_SECOND)
+def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> Verdict:
+    """Sign of f' at the grid points through the threshold pipeline on
+    (I - M1)/2, or on (I + M1)/2 for the decreasing direction."""
+    if direction not in ("increasing", "decreasing"):
+        raise ValueError(f"unknown direction {direction!r}")
+    good, sign = ((Outcome.MONOTONE_INCREASING, 1) if direction == "increasing"
+                  else (Outcome.MONOTONE_DECREASING, -1))
+    return _derivative_sign_test(f, grid, cfg, 1, sign, (good, Outcome.NOT_MONOTONE),
+                                 "first_derivative_bound", _SALT_MONO)
 
 
 # --------------------------------------------------------------------------
@@ -375,8 +388,6 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     largest eigenvalue of the masked (I - M3)/2, whose entries are
     1/2 - diff_i/(4P), against the threshold 1/2.  It is estimated at eps/4,
     so its band is 2*eps in units of diff/P."""
-    if f.degree < 1:
-        raise ValueError("first-derivative test requires degree >= 1")
     if grid.n_original < 2:
         raise ValueError("first-derivative test needs at least two grid points")
     bounds = Bounds.from_poly(f)
@@ -397,34 +408,6 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     return _threshold_test(shifted, _CONVEXITY, steepest_drop,
                            "first_derivative_bound", bounds.d1_sup,
                            replace(cfg, eps=eps_prime), _SALT_FIRST)
-
-
-# --------------------------------------------------------------------------
-# monotonicity test
-
-
-def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> Verdict:
-    """Sign of f' at the grid points through the threshold pipeline on
-    (I - M1)/2, or on (I + M1)/2 for the decreasing direction."""
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if grid.dim != 1:
-        raise ValueError("monotonicity test is univariate")
-    if f.degree < 1:
-        raise ValueError("monotonicity test requires degree >= 1")
-    bounds = Bounds.from_poly(f)
-    fam = build_M_family(f, grid.axis_encodings[0], bounds)
-    shifted = be.lcu([grid.identity, fam.M1], [1, -1 if direction == "increasing" else 1])
-    good = Outcome.MONOTONE_INCREASING if direction == "increasing" else Outcome.MONOTONE_DECREASING
-
-    def worst_slope():
-        xs = grid.original_points[:, 0]
-        d1_vals = f.derivative()(xs)
-        i = int(np.argmin(d1_vals)) if direction == "increasing" else int(np.argmax(d1_vals))
-        return float(xs[i])
-
-    return _threshold_test(shifted, (good, Outcome.NOT_MONOTONE), worst_slope,
-                           "first_derivative_bound", bounds.d1_sup, cfg, _SALT_MONO)
 
 
 # --------------------------------------------------------------------------

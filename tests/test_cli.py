@@ -225,16 +225,20 @@ def test_report_schema(tmp_path):
 
 
 def test_report_schema_of_degenerate_and_failed_methods(tmp_path):
-    # a constant: second-deriv is degenerate, first-deriv and monotone raise
+    # a constant: every derivative vanishes, and each method still writes
+    # the normal schema; the degenerate ones are Inconclusive, so exit 2
     constant = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
                 "grid": {"kind": "uniform", "n": 8}}
     code, rep = run_cli(tmp_path, constant, "--method", "all")
-    assert code == 1 and set(rep) == {"schema", "results"}
-    second, first, jensen, monotone = rep["results"]
-    _assert_result_schema(second, "second-deriv", {"degree"}, {"reason"})
-    _assert_result_schema(jensen, "jensen", ESTIMATE_KEYS["jensen"])
-    for r, method in ((first, "first-deriv"), (monotone, "monotone")):
-        assert set(r) == {"schema", "method", "error"} and r["method"] == method
+    assert code == 2 and set(rep) == {"schema", "results"}
+    assert [r["method"] for r in rep["results"]] == ALL_UNIVARIATE
+    for r in rep["results"]:
+        _assert_result_schema(r, r["method"], ESTIMATE_KEYS[r["method"]])
+    # a method that raises under all writes only its error
+    code, rep = run_cli(tmp_path, FAILING_METHODS["repeated-point"][0], "--method", "all")
+    assert code == 1
+    first = rep["results"][ALL_UNIVARIATE.index("first-deriv")]
+    assert set(first) == {"schema", "method", "error"} and first["method"] == "first-deriv"
 
 
 # problems on which some methods raise and the others run
@@ -242,9 +246,6 @@ FAILING_METHODS = {
     "repeated-point": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0, 0, 1]},
                         "grid": {"kind": "explicit", "points": [-0.4, -0.1, -0.1, 0.3]}},
                        ["first-deriv"]),
-    "constant": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
-                  "grid": {"kind": "uniform", "n": 8}},
-                 ["first-deriv", "monotone"]),
     # Jensen's left side needs an accuracy of eps / 2^1020, whose query
     # count overflows a float
     "x^340": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0] * 340 + [1]},
@@ -279,6 +280,50 @@ def test_method_all_reports_each_error_and_keeps_the_rest(tmp_path, capsys, case
             assert capsys.readouterr().err == f"error: {r['error']}\n"
         else:
             assert code in (0, 2) and alone == r
+
+
+# problems on which a derivative vanishes identically, and the methods that
+# read it: each encodes it as zero, so lambda_max is 1/2 and the verdict
+# Inconclusive, and the rest run as on any other problem
+VANISHING = {
+    "constant": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3]},
+                  "grid": {"kind": "uniform", "n": 8}},
+                 ["second-deriv", "first-deriv", "monotone"]),
+    "line": ({"schema": 1, "poly": {"kind": "uni", "coeffs": [0.3, -0.7]},
+              "grid": {"kind": "explicit", "points": [-0.4, -0.1, 0.2]}},
+             ["second-deriv", "first-deriv"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("direction", ["inc", "dec"])
+@pytest.mark.parametrize("case", sorted(VANISHING))
+def test_vanishing_derivative_runs_like_any_other(tmp_path, capsys, case, direction):
+    prob, vanishing = VANISHING[case]
+    flags = ("--seed", "7", "--noise", "uniform", "--eps", "0.001", "--direction", direction)
+    code, rep = run_cli(tmp_path, prob, "--method", "all", *flags)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == (
+        ["warning: 3 points is not a power of two; padding by repeating the last point"]
+        if prob["grid"]["kind"] == "explicit" else [])
+    results = rep["results"]
+    assert [r["method"] for r in results] == ALL_UNIVARIATE
+    for r in results:
+        _assert_result_schema(r, r["method"], ESTIMATE_KEYS[r["method"]])
+        if r["method"] in vanishing:
+            est = r["estimates"]
+            assert r["outcome"] == "Inconclusive" and r["witness"] is None and r["agreement"] is None
+            assert abs(est["lambda_max"] - 0.5) <= 0.001 and r["margin"] < 0
+            if r["method"] == "second-deriv" or case == "constant":  # the encoded derivative is 0
+                assert est.get("second_derivative_bound", est.get("first_derivative_bound")) == 1e-300
+        elif r["method"] == "monotone":  # the line's slope is -0.7
+            assert r["agreement"] is True
+        else:  # Jensen holds with equality on a line, so it may be Inconclusive
+            assert r["agreement"] is not False
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        code, alone = run_cli(tmp_path, prob, "--method", r["method"], *flags)
+        capsys.readouterr()
+        assert code in (0, 2) and alone == r
 
 
 ZERO_AXIS = ("cannot encode a grid whose points all sit at the domain's centre "
@@ -431,6 +476,56 @@ def test_bad_schema_is_exit_1(tmp_path, capsys):
         assert main(["test", "--input", write(tmp_path, prob)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# (changes to CUBIC, environment, the one error line) for input the CLI refuses
+CLI_REFUSALS = {
+    "grid-kind": ({"grid": {"kind": "spiral"}}, {}, "unknown grid kind 'spiral'"),
+    "grid-size-bool": ({"grid": {"kind": "uniform", "n": True}}, {}, "bad grid size True"),
+    "grid-size-float": ({"grid": {"kind": "uniform", "n": 8.0}}, {}, "bad grid size 8.0"),
+    "grid-size-one": ({"grid": {"kind": "uniform", "n": 1}}, {}, "bad grid size 1"),
+    "points-empty": ({"grid": {"kind": "explicit", "points": []}}, {},
+                     "explicit grid points must be a nonempty list of points"),
+    "points-dim": ({"grid": {"kind": "explicit", "points": [[0.7, 0.8], [0.9, 1.0]]}}, {},
+                   "explicit points have dim 2, expected 1"),
+    "domain-length": ({"domain": [[0.6, 1.4], [0.6, 1.4]]}, {},
+                      "'domain' must list one [a, b] interval per axis (dim=1)"),
+    "points-not-a-list": ({"grid": {"kind": "explicit", "points": 0.7}}, {},
+                          "explicit grid points must be a list of numbers"),
+    "interval-not-a-list": ({"domain": [1.0]}, {}, "domain interval 1.0 must be a list of numbers"),
+    "weights-sum": ({"weights": [0.5] * 3 + [0.25] * 13}, {}, "bad weights: weights must sum to one"),
+    "weights-negative": ({"weights": [-0.5, 1.5] + [0.0] * 14}, {},
+                         "bad weights: weights must be nonnegative"),
+    "weights-count": ({"weights": [0.5, 0.5]}, {}, "2 weights for 16 grid points"),
+    "seed-env": ({}, {"QSHAPE_SEED": "seven"}, "QSHAPE_SEED is not an integer: 'seven'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
+def test_cli_refusals_are_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch, case):
+    changes, env, message = CLI_REFUSALS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, rep = run_cli(tmp_path, dict(CUBIC, **changes))
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_n_flag_on_an_explicit_grid_warns_once(tmp_path, capsys):
+    prob = dict(CUBIC, grid={"kind": "explicit", "points": [0.7, 0.9, 1.0, 1.3]})
+    code, rep = run_cli(tmp_path, prob, "--method", "all", "--n", "32")
+    assert code in (0, 2) and rep["results"][0]["ledger"]["n"] == 4
+    assert capsys.readouterr().err.splitlines() == ["warning: --n is ignored for explicit grids"]
+
+
+def test_oracle_check_off_drops_only_the_oracle(tmp_path):
+    """With the cross-check off, each result is the one written with it on,
+    with ``oracle`` and ``agreement`` null."""
+    _, on = run_cli(tmp_path, CUBIC, "--method", "all", "--eps", "0.001", "--oracle-check", "on")
+    _, off = run_cli(tmp_path, CUBIC, "--method", "all", "--eps", "0.001", "--oracle-check", "off")
+    assert [r["method"] for r in off["results"]] == ALL_UNIVARIATE
+    assert all(r["agreement"] is not None for r in on["results"])
+    assert off == {"schema": 1, "results": [dict(r, oracle=None, agreement=None) for r in on["results"]]}
 
 
 @pytest.mark.parametrize("extra", [(), ("--n", str(1 << 40))], ids=["file", "flag"])

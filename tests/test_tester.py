@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -241,9 +243,19 @@ def test_second_derivative_reference_example():
 
 
 def test_second_derivative_degenerate():
-    v = test_convex_second_derivative(Poly([0.1, 0.2]), Grid.uniform(8), CFG)
-    assert v.outcome == Outcome.INCONCLUSIVE
-    assert "degree" in (v.reason or "")
+    """A derivative that vanishes identically encodes as zero, so lambda_max
+    is 1/2 itself under exact noise and the verdict Inconclusive, with no
+    witness: f'' of a line, and every test of a constant of either sign."""
+    g = Grid.uniform(8)
+    runs = [(CFG.eps, test_convex_second_derivative(Poly([0.1, 0.2]), g, CFG))]
+    for c in (0.3, -0.3):
+        runs += [(eps, v) for eps, _, _, v in _threshold_verdicts(Poly([c]), g, CFG)]
+    assert len(runs) == 9
+    for eps, v in runs:
+        assert v.outcome == Outcome.INCONCLUSIVE
+        assert v.estimates["lambda_max"] == 0.5
+        assert v.margin == -2.0 * eps
+        assert v.witness is None
 
 
 def _threshold_verdicts(f, grid, cfg):
@@ -919,11 +931,60 @@ def test_multivariate_jensen_scales_on_centred_boxes():
         assert v.estimates["jensen_rhs"] == pytest.approx(res.details["rhs"], rel=1e-9, abs=1e-9)
 
 
+def _terms(count: int) -> MultiPoly:
+    """``count`` distinct monomials in three variables, each of degree < 5."""
+    return MultiPoly([(1.0, k) for k in itertools.islice(itertools.product(range(5), repeat=3), count)], 3)
+
+
 def test_multivariate_encoding_caps():
     f = MultiPoly(((1.0, (20,)),), 1)
     enc = encode_grid_values(np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         build_multivariate_M(f, [enc])
+    # the term cap admits 64 terms (65 are refused below)
+    _, correction = build_multivariate_M(_terms(64), Grid.uniform(8, 3).axis_encodings)
+    assert correction == 64.0
+
+
+_QUADRATIC = Poly([0.0, 0.0, 1.0])
+_BOWL = MultiPoly([(1.0, (2, 0)), (1.0, (0, 2))], 2)
+_UNIT_BOX = (np.zeros(1), np.ones(1))
+_W8 = WeightVector.uniform(8)
+
+# (call, the error it raises) for input the library refuses
+LIBRARY_REFUSALS = {
+    "term-cap": (lambda: build_multivariate_M(_terms(65), Grid.uniform(8, 3).axis_encodings),
+                 "term count 65 exceeds cap 64"),
+    "jensen-weight-count": (lambda: test_convex_jensen(_QUADRATIC, Grid.uniform(8),
+                                                       WeightVector.uniform(4), CFG),
+                            "weight count must match grid size"),
+    "univariate-box": (lambda: test_convex_jensen(_QUADRATIC, Grid.uniform(8), _W8, CFG, box=_UNIT_BOX),
+                       "a univariate polynomial is read in working coordinates and takes no box"),
+    "second-deriv-dim": (lambda: test_convex_second_derivative(_QUADRATIC, Grid.uniform(8, 2), CFG),
+                         "the derivative-sign tests are univariate"),
+    "monotone-dim": (lambda: test_monotone(_QUADRATIC, Grid.uniform(8, 2), "increasing", CFG),
+                     "the derivative-sign tests are univariate"),
+    "first-deriv-dim": (lambda: test_convex_first_derivative(_QUADRATIC, Grid.uniform(8, 2), CFG),
+                        "the first-derivative construction is univariate"),
+    "jensen-grid-dim": (lambda: test_convex_jensen(_QUADRATIC, Grid.uniform(8, 2), _W8, CFG),
+                        "univariate Jensen test requires a univariate grid"),
+    "jensen-poly-dim": (lambda: test_convex_jensen(_BOWL, Grid.uniform(8), _W8, CFG),
+                        "polynomial dimension must match the grid"),
+    "axis-count": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8).axis_encodings),
+                   "one axis encoding per variable required"),
+    "axis-size": (lambda: build_multivariate_M(_BOWL, [Grid.uniform(4).axis_encodings[0],
+                                                      Grid.uniform(8).axis_encodings[0]]),
+                  "axis encodings must share a dimension"),
+    "box-axes": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8, 2).axis_encodings, box=_UNIT_BOX),
+                 "one box interval per variable required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refusals_name_their_cause(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- cross-cutting properties ---------------------------------------------
@@ -936,10 +997,7 @@ def test_scale_invariance_of_outcomes(coeffs, s):
     f = Poly(coeffs)
     g = Grid.uniform(8)
     fs = Poly(np.array(coeffs) * s)
-    runs = [test_convex_second_derivative]
-    if f.degree >= 1 and fs.degree >= 1:
-        runs.append(lambda a, b, c: test_monotone(a, b, "increasing", c))
-    for run in runs:
+    for run in (test_convex_second_derivative, lambda a, b, c: test_monotone(a, b, "increasing", c)):
         assert run(f, g, CFG).outcome == run(fs, g, CFG).outcome
 
 
@@ -953,8 +1011,8 @@ def test_exact_mode_agrees_with_oracle(coeffs):
         res = oracle_convex(f, g.points, mode="second")
         expected = "convex" if v.outcome == Outcome.CONVEX_ON_GRID else "not_convex"
         assert res.verdict == expected
-    m = test_monotone(f, g, "increasing", CFG) if f.degree >= 1 else None
-    if m and m.outcome != Outcome.INCONCLUSIVE:
+    m = test_monotone(f, g, "increasing", CFG)
+    if m.outcome != Outcome.INCONCLUSIVE:
         res = oracle_monotone(f, g.points, "increasing")
         expected = "monotone" if m.outcome == Outcome.MONOTONE_INCREASING else "not_monotone"
         assert res.verdict == expected
