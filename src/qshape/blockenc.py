@@ -232,7 +232,9 @@ def shift(e: BlockEnc) -> BlockEnc:
     alpha, ancillas and eps are unchanged; the ledger charges its two uses,
     S and S^dagger, at log2(N) depth units each."""
     ledger = e.ledger.merged(depth_units=2 * _qubits(e.dim))
-    return _built(np.roll(e.data, -1), e.alpha, e.ancillas, e.eps, ledger, e.bound)
+    d = e.data
+    # np.roll(d, -1)'s entries, without its generic index set-up
+    return _built(np.concatenate((d[1:], d[:1])), e.alpha, e.ancillas, e.eps, ledger, e.bound)
 
 
 def product(*encodings: BlockEnc) -> BlockEnc:

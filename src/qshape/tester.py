@@ -379,7 +379,7 @@ def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
     _check_increasing(grid)
     if bounds is None:
         bounds = Bounds.from_poly(f)
-    m1 = transform(grid.axis_encodings[0], f.derivative().scaled(bounds.d1_sup))
+    m1 = transform(grid.axis_encodings[0], f.derivative(), bounds.d1_sup)
     return be.product(grid.mask_complement, be.lcu([be.shift(m1), m1], [1, -1]))
 
 
@@ -521,7 +521,7 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=
             f, [overlap_gadget(e, sqrt_lam) for e in axes], box, GADGET_FACTOR)
     else:
         f_scale = Bounds.from_poly(f).f_sup
-        m_enc = transform(axes[0], f.scaled(f_scale))
+        m_enc = transform(axes[0], f, f_scale)
         # transforming the gadget with f(t / GADGET_FACTOR)/s evaluates f at
         # the centre; overflow is reported as one error, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -530,7 +530,7 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=
             if not math.isfinite(f_lhs.coefficient_sum):
                 raise ValueError("coefficients overflow when f is rescaled to read the overlap gadget")
             lhs_scale = max(1.0, 2.0 * certified_sup(f_lhs))
-        lhs_enc = transform(overlap_gadget(axes[0], sqrt_lam), f_lhs.scaled(lhs_scale))
+        lhs_enc = transform(overlap_gadget(axes[0], sqrt_lam), f_lhs, lhs_scale)
     rhs_scale = f_scale / GADGET_FACTOR
     a_lhs = amplitude_estimate(lhs_enc, cfg, eps=cfg.eps / lhs_scale, salt=_SALT_JENSEN_LHS)
     a_rhs = amplitude_estimate(overlap_gadget(m_enc, sqrt_lam), cfg, eps=cfg.eps / rhs_scale,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import warnings
@@ -9,6 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qshape.blockenc as be
+import qshape.cli
+import qshape.poly
+import qshape.qsvt
 import qshape.tester
 from qshape.blockenc import BlockEnc
 from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
@@ -437,6 +441,27 @@ def test_first_derivative_builds_its_mask_once(monkeypatch):
             assert v.outcome == Outcome.CONVEX_ON_GRID
         assert grids[0] is grids[1]
         assert len(builds) == 1 and builds[0] is grids[0]
+
+
+def test_method_all_samples_five_polynomials(tmp_path, monkeypatch):
+    """A --method all call certifies 23 sups, but samples only the five
+    distinct polynomials it does not rescale: the remap's f(t/2), f, f',
+    f'' and Jensen's f(t/GADGET_FACTOR).  Each transform certifies its
+    rescaled copy through the sup of the polynomial it rescales."""
+    calls = []
+    sup = qshape.poly.certified_sup
+    for module in (qshape.poly, qshape.tester, qshape.qsvt):
+        monkeypatch.setattr(module, "certified_sup", lambda p: calls.append(p) or sup(p))
+    coeffs = np.random.default_rng(24).uniform(-1.0, 1.0, 21).tolist()
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"schema": 1, "grid": {"kind": "uniform", "n": 16},
+                                   "poly": {"kind": "uni", "coeffs": coeffs}}))
+    qshape.poly._sup_univariate.cache_clear()
+    code = qshape.cli.main(["test", "--input", str(problem), "--report", str(tmp_path / "report.json"),
+                            "--method", "all", "--noise", "exact"])
+    assert code in (0, 2)
+    assert len(calls) == 23
+    assert qshape.poly._sup_univariate.cache_info().misses == 5
 
 
 def test_first_derivative_mixed_curvature():
