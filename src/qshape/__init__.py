@@ -9,7 +9,7 @@ resource accounting and a brute-force oracle for cross-checking.
 from .blockenc import BlockEnc, ResourceLedger, StatePrep
 from .estimate import EstimatorConfig, amplitude_estimate, largest_eigenvalue, overlap_gadget
 from .oracle import OracleResult, oracle_convex, oracle_monotone
-from .poly import Bounds, MultiPoly, Poly, certified_sup, poly_from_json, remap_domain
+from .poly import Bounds, MultiPoly, Poly, certified_sup, remap_domain
 from .qsvt import MFamily, build_M_family, transform
 from .tester import (
     Grid,
@@ -40,7 +40,6 @@ __all__ = [
     "MultiPoly",
     "Poly",
     "certified_sup",
-    "poly_from_json",
     "remap_domain",
     "MFamily",
     "build_M_family",

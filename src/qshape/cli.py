@@ -6,6 +6,7 @@ cross-checks, and the resource ledger.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 
 from .estimate import EstimatorConfig
 from .oracle import oracle_convex, oracle_monotone
-from .poly import MultiPoly, poly_from_json, remap_domain
+from .poly import MultiPoly, Poly, remap_domain
 from .tester import (
     _REACH,
     Grid,
@@ -36,10 +37,6 @@ _AGREES = {
     Outcome.MONOTONE_DECREASING: {"monotone"},
     Outcome.NOT_MONOTONE: {"not_monotone"},
 }
-
-
-class InputError(Exception):
-    pass
 
 
 def _warn(msg: str):
@@ -70,7 +67,7 @@ def _resolve_seed(flag_value) -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise InputError(f"QSHAPE_SEED is not an integer: {env!r}") from exc
+        raise ValueError(f"QSHAPE_SEED is not an integer: {env!r}") from exc
 
 
 def _load_problem(path: str) -> dict:
@@ -78,40 +75,79 @@ def _load_problem(path: str) -> dict:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read input file: {exc}") from exc
+        raise ValueError(f"cannot read input file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != 1:
-        raise InputError('input file must be an object with "schema": 1')
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    # the JSON integer 1: neither true nor 1.0
+    if not (isinstance(obj, dict) and type(obj.get("schema")) is int and obj["schema"] == 1):
+        raise ValueError('input file must be an object with "schema": 1')
     return obj
 
 
-def _finite_array(raw, what: str) -> np.ndarray:
-    """A JSON list of finite numbers (possibly nested) as a float array."""
-    if not isinstance(raw, list):
-        raise InputError(f"{what} must be a list of numbers")
+# the types json.load gives a JSON number; a bool is not one of them
+_NUMBER = {int, float}
+
+
+def _reals(raw, what: str, points: bool = False) -> np.ndarray:
+    """A JSON list of finite numbers as a 1-D float array, or with
+    ``points`` also a list of equal-length lists of them as a 2-D array.
+    A quoted number, a bool or any other nesting is refused with one line
+    that names the field."""
+    nested = points and isinstance(raw, list) and bool(raw) and type(raw[0]) is list
+    rows = raw if nested else [raw]
+    if not (all(type(r) is list for r in rows) and len(set(map(len, rows))) == 1):
+        either = ", or of lists of numbers of one length" if nested else ""
+        raise ValueError(f"{what} must be a list of numbers{either}")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER:
+        bad = next(v for v in itertools.chain.from_iterable(rows) if type(v) not in _NUMBER)
+        raise ValueError(f"{what} must be numbers, not {bad!r}")
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} must be a list of numbers: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise InputError(f"{what} must be finite numbers")
+        arr = np.array(raw, dtype=float)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite numbers")
     return arr
+
+
+def _read_poly(obj) -> Poly | MultiPoly:
+    """The polynomial of a problem file:
+    ``{"kind": "uni", "coeffs": [c0, ...]}`` or
+    ``{"kind": "multi", "dim": d, "terms": [{"a": a_k, "k": [k1, ...]}, ...]}``;
+    ``MultiPoly`` reads ``dim`` and the exponents as integers."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError("polynomial object must have a 'kind' field")
+    kind = obj["kind"]
+    if kind == "uni":
+        coeffs = obj.get("coeffs")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ValueError("'uni' polynomial requires a nonempty 'coeffs' list")
+        return Poly(_reals(coeffs, "coefficients").tolist())
+    if kind == "multi":
+        terms = obj.get("terms")
+        if not isinstance(terms, list) or not terms:
+            raise ValueError("'multi' polynomial requires a nonempty 'terms' list")
+        if not all(isinstance(t, dict) and "a" in t and isinstance(t.get("k"), list) for t in terms):
+            raise ValueError("each term must be an object with 'a' and a 'k' list")
+        a = _reals([t["a"] for t in terms], "term coefficients 'a'")
+        return MultiPoly(zip(a.tolist(), [t["k"] for t in terms]), obj.get("dim"))
+    raise ValueError(f"unknown polynomial kind {kind!r}")
 
 
 def _domains(obj: dict, dim: int) -> list[tuple[float, float]]:
     raw = obj.get("domain", [[-0.5, 0.5]] * dim)
     if not isinstance(raw, list) or len(raw) != dim:
-        raise InputError(f"'domain' must list one [a, b] interval per axis (dim={dim})")
+        raise ValueError(f"'domain' must list one [a, b] interval per axis (dim={dim})")
     out = []
     for ab in raw:
-        iv = _finite_array(ab, f"domain interval {ab!r}")
+        iv = _reals(ab, f"domain interval {ab!r}")
         if iv.shape != (2,) or not iv[0] < iv[1]:
-            raise InputError(f"bad domain interval {ab!r}")
+            raise ValueError(f"bad domain interval {ab!r}")
         a, b = float(iv[0]), float(iv[1])
         # the box map needs both, and an inf would reach the report as Infinity
         if not (math.isfinite(b - a) and math.isfinite((a + b) / 2.0)):
-            raise InputError(f"domain interval {ab!r} is too wide: its width or centre overflows")
+            raise ValueError(f"domain interval {ab!r} is too wide: its width or centre overflows")
         out.append((a, b))
     return out
 
@@ -137,25 +173,25 @@ def _build_grid(obj: dict, dim: int, box, n_flag) -> Grid:
     """The problem's grid in working coordinates t."""
     spec = obj.get("grid", {"kind": "uniform", "n": 64})
     if not isinstance(spec, dict):
-        raise InputError("'grid' must be an object with a 'kind' field")
+        raise ValueError("'grid' must be an object with a 'kind' field")
     kind = spec.get("kind")
     if kind == "uniform":
         n = n_flag if n_flag is not None else spec.get("n", 64)
         if not (isinstance(n, int) and n >= 2):
-            raise InputError(f"bad grid size {n!r}")
+            raise ValueError(f"bad grid size {n!r}")
         if n & (n - 1):
             padded = 1 << (n - 1).bit_length()
             _warn(f"grid size {n} is not a power of two; using {padded}")
             n = padded
         return Grid.uniform(n, dim=dim)
     if kind == "explicit":
-        pts = _finite_array(spec.get("points"), "explicit grid points")
+        pts = _reals(spec.get("points"), "explicit grid points", points=True)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InputError("explicit grid points must be a nonempty list of points")
+        if pts.shape[0] == 0:
+            raise ValueError("explicit grid points must be a nonempty list of points")
         if pts.shape[1] != dim:
-            raise InputError(f"explicit points have dim {pts.shape[1]}, expected {dim}")
+            raise ValueError(f"explicit points have dim {pts.shape[1]}, expected {dim}")
         if n_flag is not None:
             _warn("--n is ignored for explicit grids")
         centre, width = box
@@ -163,25 +199,25 @@ def _build_grid(obj: dict, dim: int, box, n_flag) -> Grid:
         with np.errstate(over="ignore"):
             working = (pts - centre) / width
         if np.max(np.abs(working)) > _REACH:
-            raise InputError("explicit points fall outside the declared domain")
+            raise ValueError("explicit points fall outside the declared domain")
         m = pts.shape[0]
         if m & (m - 1):
             _warn(f"{m} points is not a power of two; padding by repeating the last point")
         return Grid.from_points(working)
-    raise InputError(f"unknown grid kind {kind!r}")
+    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 def _weights(obj: dict, grid: Grid) -> WeightVector:
     raw = obj.get("weights")
     if raw is None:
         return WeightVector.uniform(grid.n_original)
+    lam = _reals(raw, "weights")
+    if lam.size != grid.n_original:
+        raise ValueError(f"{lam.size} weights for {grid.n_original} grid points")
     try:
-        w = WeightVector(_finite_array(raw, "weights"))
+        return WeightVector(lam)
     except ValueError as exc:
-        raise InputError(f"bad weights: {exc}") from exc
-    if w.n != grid.n_original:
-        raise InputError(f"{w.n} weights for {grid.n_original} grid points")
-    return w
+        raise ValueError(f"bad weights: {exc}") from exc
 
 
 def _witness_to_user(witness, box, method: str):
@@ -244,9 +280,9 @@ def run(args) -> int:
         seed = _resolve_seed(args.seed)
         problem = _load_problem(args.input)
         try:
-            f_raw = poly_from_json(problem.get("poly"))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad polynomial: {exc}") from exc
+            f_raw = _read_poly(problem.get("poly"))
+        except ValueError as exc:
+            raise ValueError(f"bad polynomial: {exc}") from exc
         multi = isinstance(f_raw, MultiPoly)
         dim = f_raw.dim if multi else 1
         domains = _domains(problem, dim)
@@ -256,7 +292,7 @@ def run(args) -> int:
         grid = _build_grid(problem, dim, box, args.n)
         w = _weights(problem, grid)
         if not 0.0 < args.eps < math.inf:
-            raise InputError("--eps must be positive and finite")
+            raise ValueError("--eps must be positive and finite")
         cfg = EstimatorConfig(eps=args.eps, seed=seed, noise_mode=args.noise)
         direction = "increasing" if args.direction == "inc" else "decreasing"
 
@@ -265,7 +301,7 @@ def run(args) -> int:
         else:
             methods = [args.method]
         if multi and any(m != "jensen" for m in methods):
-            raise InputError("only the jensen method supports multivariate polynomials")
+            raise ValueError("only the jensen method supports multivariate polynomials")
 
         results, errors = [], []
         for m in methods:
@@ -278,7 +314,7 @@ def run(args) -> int:
                 # under all, a method's error is its entry and the others still run
                 results.append({"schema": 1, "method": m, "error": str(exc)})
                 errors.append(f"{m}: {exc}")
-    except (InputError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,6 @@ __all__ = [
     "Bounds",
     "certified_sup",
     "remap_domain",
-    "poly_from_json",
 ]
 
 
@@ -273,43 +272,3 @@ class Bounds:
         d1 = max(2.0 * certified_sup(p.derivative()), 1e-300)
         d2 = max(2.0 * certified_sup(p.derivative(2)), 1e-300)
         return cls(f_sup=f_sup, d1_sup=d1, d2_sup=d2)
-
-
-def _finite_coefficient(v) -> float:
-    try:
-        c = float(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"coefficient {v!r} is not a finite number") from exc
-    if not math.isfinite(c):
-        raise ValueError(f"coefficient {v!r} is not a finite number")
-    return c
-
-
-def poly_from_json(obj) -> Poly | MultiPoly:
-    """Parse the polynomial JSON schema.
-
-    ``{"kind": "uni", "coeffs": [c0, ...]}`` or
-    ``{"kind": "multi", "dim": d, "terms": [{"a": a_k, "k": [k1, ...]}, ...]}``.
-    """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("polynomial object must have a 'kind' field")
-    kind = obj["kind"]
-    if kind == "uni":
-        coeffs = obj.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ValueError("'uni' polynomial requires a nonempty 'coeffs' list")
-        return Poly([_finite_coefficient(c) for c in coeffs])
-    if kind == "multi":
-        dim = obj.get("dim")
-        terms = obj.get("terms")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("'multi' polynomial requires a positive integer 'dim'")
-        if not isinstance(terms, list) or not terms:
-            raise ValueError("'multi' polynomial requires a nonempty 'terms' list")
-        parsed = []
-        for t in terms:
-            if not (isinstance(t, dict) and "a" in t and isinstance(t.get("k"), list)):
-                raise ValueError("each term must be an object with 'a' and a 'k' list")
-            parsed.append((_finite_coefficient(t["a"]), tuple(t["k"])))
-        return MultiPoly(tuple(parsed), dim)
-    raise ValueError(f"unknown polynomial kind {kind!r}")

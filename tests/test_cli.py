@@ -498,6 +498,26 @@ CLI_REFUSALS = {
                          "bad weights: weights must be nonnegative"),
     "weights-count": ({"weights": [0.5, 0.5]}, {}, "2 weights for 16 grid points"),
     "seed-env": ({}, {"QSHAPE_SEED": "seven"}, "QSHAPE_SEED is not an integer: 'seven'"),
+    # a number is a JSON number: not a string, not a bool, not a list
+    "coeffs-quoted": ({"poly": {"kind": "uni", "coeffs": [1.0, "-2.0", 0.0, 1.0]}}, {},
+                      "bad polynomial: coefficients must be numbers, not '-2.0'"),
+    "coeffs-bool": ({"poly": {"kind": "uni", "coeffs": [1.0, -2.0, 0.0, True]}}, {},
+                    "bad polynomial: coefficients must be numbers, not True"),
+    "term-a-quoted": ({"poly": {"kind": "multi", "dim": 1, "terms": [{"a": "1.0", "k": [2]}]}}, {},
+                      "bad polynomial: term coefficients 'a' must be numbers, not '1.0'"),
+    "domain-bool": ({"domain": [[True, 1.4]]}, {},
+                    "domain interval [True, 1.4] must be numbers, not True"),
+    "points-bool": ({"grid": {"kind": "explicit", "points": [0.7, True, 1.2, 1.3]}}, {},
+                    "explicit grid points must be numbers, not True"),
+    "weights-quoted": ({"weights": [0.0625] * 15 + ["0.0625"]}, {},
+                       "weights must be numbers, not '0.0625'"),
+    "weights-empty": ({"weights": []}, {}, "0 weights for 16 grid points"),
+    "weights-huge-int": ({"weights": [10**400] + [0] * 15}, {}, "weights must be finite numbers"),
+    "weights-nested": ({"grid": {"kind": "explicit", "points": [0.7, 1.3]}, "weights": [[0.5], [0.5]]}, {},
+                       "weights must be numbers, not [0.5]"),
+    "points-ragged": ({"grid": {"kind": "explicit", "points": [[0.7], 0.8]}}, {},
+                      "explicit grid points must be a list of numbers, or of lists of numbers of one length"),
+    "schema-true": ({"schema": True}, {}, 'input file must be an object with "schema": 1'),
 }
 
 
@@ -1169,10 +1189,23 @@ def _problems(draw):
             weights[0] += weights[-1]
             weights[-1] = residue
         problem["weights"] = weights
+    # now and then one number of a real-valued field quoted, made a bool or
+    # nested once, which the reader refuses
+    spoil = draw(st.sampled_from([None] * 7 + [repr, bool, lambda v: [v]]))
+    if spoil is not None:
+        poly, grid = problem["poly"], problem["grid"]
+        slots = [(poly["coeffs"], 0) if poly["kind"] == "uni" else (poly["terms"][0], "a"),
+                 (problem["domain"][0], 0)]
+        if grid["kind"] == "explicit":
+            slots.append((grid["points"], 0) if dim == 1 else (grid["points"][0], 0))
+        if "weights" in problem:
+            slots.append((problem["weights"], 0))
+        target, key = draw(st.sampled_from(slots))
+        target[key] = spoil(target[key])
     flags = ["--method", draw(st.sampled_from(METHODS)),
              "--eps", repr(draw(st.sampled_from([5e-324, 1e-308, 1e-3, 1.0, 1e300, 1e308]))),
              "--noise", draw(st.sampled_from(["exact", "uniform"])), "--seed", "3"]
-    return problem, flags
+    return problem, flags, spoil is not None
 
 
 def _uni(coeffs, **extra):
@@ -1181,21 +1214,25 @@ def _uni(coeffs, **extra):
 
 
 @given(_problems())
-@example((_uni([0, 0, 1]), ["--eps", "1e-308"]))
-@example((_uni([0, 0, 1]), ["--eps", "1e308", "--noise", "uniform"]))
+@example((_uni([0, 0, 1]), ["--eps", "1e-308"], False))
+@example((_uni([0, 0, 1]), ["--eps", "1e308", "--noise", "uniform"], False))
 @example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.4, -0.1, 0.2, 0.4]},
-               weights=[0.25, 0.25, 0.5, -1e-15]), ["--method", "jensen"]))
-@example((_uni([0] * 339 + [1]), ["--method", "jensen"]))
-@example((_uni([0] * 340 + [1]), ["--method", "all"]))
-@example((_uni([0] * 342 + [1]), ["--method", "jensen"]))
+               weights=[0.25, 0.25, 0.5, -1e-15]), ["--method", "jensen"], False))
+@example((_uni([0] * 339 + [1]), ["--method", "jensen"], False))
+@example((_uni([0] * 340 + [1]), ["--method", "all"], False))
+@example((_uni([0] * 342 + [1]), ["--method", "jensen"], False))
 @example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]}),
-          ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"]))
-@example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), []))
+          ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"], False))
+@example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), [], False))
 @example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 3, "terms": [{"a": 1.0, "k": [2, 0, 0]}]},
-               grid={"kind": "uniform", "n": 4}), ["--method", "jensen"]))
+               grid={"kind": "uniform", "n": 4}), ["--method", "jensen"], False))
+@example((_uni([0, "0", 1]), ["--method", "jensen"], True))
+@example((_uni([0, 0, 1], weights=[]), ["--method", "jensen"], True))
+@example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.25, 0.25]}, weights=[[0.5], [0.5]]),
+          ["--method", "jensen"], True))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
-    problem, flags = case
+    problem, flags, refused = case
     directory = tmp_path_factory.mktemp("fuzz")
     inp, rep = directory / "problem.json", directory / "report.json"
     inp.write_text(json.dumps(problem))
@@ -1204,7 +1241,7 @@ def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_
         warnings.simplefilter("error")
         code = main(["test", "--input", str(inp), "--report", str(rep), *flags])
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert code in (0, 1, 2)
+    assert code == 1 if refused else code in (0, 1, 2)
     assert len(errors) == (1 if code == 1 else 0)
     if rep.exists():  # a report is strict JSON: no NaN or Infinity
         json.loads(rep.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))

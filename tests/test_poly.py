@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from qshape.cli import _read_poly
 from qshape.poly import (
     Bounds,
     MultiPoly,
     Poly,
     certified_sup,
-    poly_from_json,
     _end_max,
     _sup_univariate,
     remap_domain,
@@ -342,13 +342,18 @@ def test_json_round_trip():
     # the literal dicts are the JSON forms of the polynomials they parse to
     cases = [({"kind": "uni", "coeffs": [1.0, 0.0, -0.5]}, Poly([1.0, 0.0, -0.5])),
              ({"kind": "multi", "dim": 2, "terms": [{"a": 0.5, "k": [1, 2]}]},
-              MultiPoly(((0.5, (1, 2)),), 2))]
+              MultiPoly(((0.5, (1, 2)),), 2)),
+             # dim and exponents follow one integer rule
+             ({"kind": "multi", "dim": 2.0, "terms": [{"a": 1, "k": [1.0, 2]}]},
+              MultiPoly(((1.0, (1, 2)),), 2))]
     for obj, p in cases:
-        assert poly_from_json(obj) == p
+        assert _read_poly(obj) == p
 
 
 def test_json_rejects_malformed():
     for bad in ({}, {"kind": "uni"}, {"kind": "multi", "dim": 0, "terms": []},
-                {"kind": "nope"}, {"kind": "multi", "dim": 2, "terms": [{"a": 1}]}):
+                {"kind": "nope"}, {"kind": "multi", "dim": 2, "terms": [{"a": 1}]},
+                {"kind": "uni", "coeffs": ["1.0"]}, {"kind": "uni", "coeffs": [True]},
+                {"kind": "multi", "dim": 1, "terms": [{"a": "1", "k": [2]}]}):
         with pytest.raises(ValueError):
-            poly_from_json(bad)
+            _read_poly(bad)
