@@ -28,7 +28,6 @@ __all__ = [
     "amplify",
     "amplification_uses",
     "identity",
-    "normalize_subnormalization",
 ]
 
 _NORM_TOL = 1e-9
@@ -321,7 +320,11 @@ def amplification_uses(gamma: float) -> int:
 
 def amplify(e: BlockEnc, gamma: float) -> BlockEnc:
     """Boost the encoded operator to gamma*A, valid when every singular value
-    of A/alpha is at most (1-delta)/gamma.  Costs m uses of the input."""
+    of A/alpha is at most (1-delta)/gamma.  Costs m uses of the input.
+
+    The precondition reads the input's ``bound``, not its data, so an input
+    whose propagated bound is looser than its data is refused whenever that
+    bound cannot show the precondition."""
     return _amplify(e, gamma, None)
 
 
@@ -330,34 +333,15 @@ def _amplify(e: BlockEnc, gamma: float, depth_units: int | None) -> BlockEnc:
     given, so a caller that accounts depth otherwise builds one encoding."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    data_max = float(np.abs(e.data).max())
-    smax = data_max / e.alpha
+    smax = e.bound / e.alpha
     if smax > (1.0 - _DELTA) / gamma + 1e-12:
         raise ValueError(
-            f"amplification precondition violated: max singular value {smax:.6g} "
-            f"exceeds (1-delta)/gamma = {(1.0 - _DELTA) / gamma:.6g}"
+            f"amplification precondition violated: the input's bound {smax:.6g} on its max singular "
+            f"value exceeds (1-delta)/gamma = {(1.0 - _DELTA) / gamma:.6g}"
         )
     m = amplification_uses(gamma)
     norm_a = smax * e.alpha
     eps_out = gamma * e.eps + gamma * norm_a * _EPS_AMP
     ledger = e.ledger.merged(depth_units=m if depth_units is None else depth_units,
                              **{"amplification-uses": m})
-    return _built(gamma * e.data, e.alpha, e.ancillas + 1, eps_out, ledger, gamma * data_max)
-
-
-def normalize_subnormalization(e: BlockEnc, factor: float) -> BlockEnc:
-    """Rescale the encoded operator by ``factor``: scaling for factor < 1,
-    amplification for factor > 1, no-op at factor = 1.
-
-    The amplification branch records its true query count in the ledger
-    entries but accounts depth at the stated composite cost of the
-    construction it serves, O(log N), so pipeline depth units track the
-    claimed complexity rather than the amplification sequence length.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if factor == 1.0:
-        return e
-    if factor < 1.0:
-        return scale_down(e, 1.0 / factor)
-    return _amplify(e, factor, _qubits(e.dim))
+    return _built(gamma * e.data, e.alpha, e.ancillas + 1, eps_out, ledger, gamma * e.bound)

@@ -73,9 +73,16 @@ class Estimate:
     ledger: ResourceLedger
 
 
-def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> Estimate:
+def _accuracy(cfg: EstimatorConfig, scale: float) -> tuple[float, str]:
+    """The accuracy cfg.eps/scale an estimator runs at, and how its errors
+    name it: the eps the user gave, and the factor a pipeline divided it by."""
+    eps = cfg.eps / scale
+    return eps, f"eps = {eps:.6g}" if scale == 1.0 else f"eps = {cfg.eps!r} divided by {scale:.6g}"
+
+
+def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0, scale: float = 1.0) -> Estimate:
     """Estimate the largest eigenvalue of a PSD encoding to additive
-    accuracy eps.
+    accuracy eps = cfg.eps/scale.
 
     The exact value is the diagonal's maximum; noise is then applied per
     the config.  The query count is the one stated for an O(1) spectral
@@ -84,15 +91,15 @@ def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0) -> Esti
     lam_min = float(e.data.min())
     if lam_min < -(_PSD_TOL + e.eps):
         raise ValueError(f"operator is not positive semidefinite (lambda_min = {lam_min:.6g})")
-    estimate = float(e.data.max()) + cfg.draw(salt)
+    eps, named = _accuracy(cfg, scale)
+    estimate = float(e.data.max()) + cfg.draw(salt, eps)
     n_qubits = int(round(math.log2(e.dim)))
-    inv_eps = 1.0 / cfg.eps
+    inv_eps = 1.0 / eps
     log_term = n_qubits + math.log2(inv_eps)
     queries = inv_eps * log_term
     depth = e.ledger.depth_units * inv_eps * log_term
     if not (math.isfinite(queries) and math.isfinite(depth)):
-        raise ValueError(f"eps = {cfg.eps:.6g} is too small for eigenvalue estimation: "
-                         "its query count overflows")
+        raise ValueError(f"{named} is too small for eigenvalue estimation: its query count overflows")
     ledger = e.ledger.merged(depth_units=math.ceil(depth),
                              **{"eigenvalue-estimation-queries": math.ceil(queries)})
     return Estimate(value=estimate, ledger=ledger)
@@ -142,15 +149,15 @@ def overlap_gadget(e: BlockEnc, prep: StatePrep) -> BlockEnc:
     return lcu([rho, _HALF_IDENTITY], [1, -1])
 
 
-def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, eps: float, salt: int = 0) -> Estimate:
+def amplitude_estimate(e: BlockEnc, cfg: EstimatorConfig, scale: float, salt: int = 0) -> Estimate:
     """Estimate the flagged-branch amplitude, i.e. the (0, 0) entry of the
-    encoded operator, to additive accuracy eps using O(1/eps) queries.
-
-    ``eps`` is the raw estimate's accuracy: a pipeline that multiplies the
-    estimate by a scale divides its own accuracy by that scale.
+    encoded operator, to additive accuracy eps = cfg.eps/scale using O(1/eps)
+    queries: a pipeline that multiplies the estimate by ``scale`` is then
+    accurate to cfg.eps.
     """
+    eps, named = _accuracy(cfg, scale)
     if not (0 < eps < math.inf and math.isfinite(1.0 / eps)):
-        raise ValueError(f"eps = {eps:.6g} is out of range for amplitude estimation: it must be "
+        raise ValueError(f"{named} is out of range for amplitude estimation: it must be "
                          "positive and finite, and its query count 1/eps must fit in a float")
     raw = float(e.data[0])
     value = raw + cfg.draw(salt, eps=eps)

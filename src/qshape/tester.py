@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,17 +244,23 @@ class Verdict:
 
 
 def encode_grid_values(values: np.ndarray) -> BlockEnc:
-    """Alpha-1 diagonal encoding of classically known values: amplitude
-    encoding of the normalized vector, diagonalization, then removal of the
-    norm factor."""
+    """Alpha-1 diagonal encoding of classically known values x: amplitude
+    encoding of x/||x||, diagonalization, then a rescale by ||x||: scaled
+    down by 1/||x|| when ||x|| < 1, amplified by ||x|| when ||x|| > 1."""
     v = np.asarray(values, dtype=float)
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("cannot encode a grid whose points all sit at the domain's centre "
                          "(working coordinate 0) along an axis")
-    prep = be.encode_state(v / nrm)
-    diag = be.diag_from_state(prep)
-    return be.normalize_subnormalization(diag, nrm)
+    diag = be.diag_from_state(be.encode_state(v / nrm))
+    if nrm < 1.0:
+        return be.scale_down(diag, 1.0 / nrm)
+    if nrm == 1.0:
+        return diag
+    # The ledger keeps the amplification's uses, but its depth is charged as
+    # log2 N, this construction's stated O(log N) cost.  The O(log N) encoding
+    # of uniform grids (ROADMAP item 3) removes this charge.
+    return be._amplify(diag, nrm, v.shape[0].bit_length() - 1)
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +298,13 @@ def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_
     )
 
 
-def _threshold_test(shifted: BlockEnc, outcomes: tuple[str, str], witness_fn,
-                    bound_name: str, bound: float, cfg: EstimatorConfig, salt: int) -> Verdict:
-    """Estimate the largest eigenvalue of ``shifted`` and decide it against
-    the threshold 1/2 with :func:`_verdict`."""
-    est = largest_eigenvalue(shifted, cfg, salt=salt)
+def _threshold_test(shifted: BlockEnc, outcomes: tuple[str, str], witness_fn, bound_name: str,
+                    bound: float, cfg: EstimatorConfig, salt: int, scale: float = 1.0) -> Verdict:
+    """Estimate the largest eigenvalue of ``shifted`` at eps = cfg.eps/scale
+    and decide it against the threshold 1/2 with :func:`_verdict` at eps."""
+    est = largest_eigenvalue(shifted, cfg, salt=salt, scale=scale)
     estimates = {"lambda_max": est.value, "threshold": _THRESHOLD, bound_name: bound}
-    return _verdict(est.value, _THRESHOLD, outcomes, witness_fn, estimates, est.ledger, cfg.eps)
+    return _verdict(est.value, _THRESHOLD, outcomes, witness_fn, estimates, est.ledger, cfg.eps / scale)
 
 
 # --------------------------------------------------------------------------
@@ -395,8 +401,7 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
     # zero the masked diagonal entries of the shifted matrix as well, so the
     # wrap-around term cannot pin the spectrum at the threshold
     shifted = be.product(grid.mask_complement, be.lcu([grid.identity, m3], [1, -1]))
-    eps_prime = cfg.eps / 4.0
-    if eps_prime == 0.0:
+    if cfg.eps / 4.0 == 0.0:
         raise ValueError(f"eps = {cfg.eps!r} underflows to 0 when divided by 4 "
                          "for the first-derivative test")
 
@@ -406,8 +411,7 @@ def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> V
         return (float(xs[i]), float(xs[i + 1]))
 
     return _threshold_test(shifted, _CONVEXITY, steepest_drop,
-                           "first_derivative_bound", bounds.d1_sup,
-                           replace(cfg, eps=eps_prime), _SALT_FIRST)
+                           "first_derivative_bound", bounds.d1_sup, cfg, _SALT_FIRST, 4.0)
 
 
 # --------------------------------------------------------------------------
@@ -532,9 +536,8 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=
             lhs_scale = max(1.0, 2.0 * certified_sup(f_lhs))
         lhs_enc = transform(overlap_gadget(axes[0], sqrt_lam), f_lhs, lhs_scale)
     rhs_scale = f_scale / GADGET_FACTOR
-    a_lhs = amplitude_estimate(lhs_enc, cfg, eps=cfg.eps / lhs_scale, salt=_SALT_JENSEN_LHS)
-    a_rhs = amplitude_estimate(overlap_gadget(m_enc, sqrt_lam), cfg, eps=cfg.eps / rhs_scale,
-                               salt=_SALT_JENSEN_RHS)
+    a_lhs = amplitude_estimate(lhs_enc, cfg, lhs_scale, salt=_SALT_JENSEN_LHS)
+    a_rhs = amplitude_estimate(overlap_gadget(m_enc, sqrt_lam), cfg, rhs_scale, salt=_SALT_JENSEN_RHS)
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
     scales = {"lhs_scale": lhs_scale, "rhs_scale": rhs_scale, "gadget_factor": GADGET_FACTOR}
     return a_lhs.value * lhs_scale, a_rhs.value * rhs_scale, ledger, scales

@@ -132,11 +132,12 @@ def test_every_primitive_output_is_read_only():
         be.lcu([e, e], [1, -1]),
         be.scale_down(e, 2.0),
         be.amplify(e, 2.0),
-        be.normalize_subnormalization(e, 0.5),
-        be.normalize_subnormalization(e, 2.0),
         transform(e, Poly([0.0, 0.5])),
         overlap_gadget(e, prep),
+        # the grid encoding below, at and above norm 1
         encode_grid_values(np.array([-0.375, -0.125, 0.125, 0.375])),
+        encode_grid_values(np.array([-0.5, 0.5, -0.5, 0.5])),
+        encode_grid_values(np.full(16, 0.45)),
     ]
     for out in outputs:
         assert not out.data.flags.writeable
@@ -284,52 +285,74 @@ def test_amplify_precondition():
         be.amplify(diag_enc([0.6, 0.0]), 2.0)  # 0.6 > (1-0.25)/2
 
 
+def test_amplify_reads_its_input_bound():
+    # the product's data is 0.05 everywhere, but the bound it propagates is
+    # 0.5 * 0.5 = 0.25, above the limit (1 - delta)/4 = 0.1875
+    loose = be.product(diag_enc([0.5, 0.1]), diag_enc([0.1, 0.5]))
+    assert loose.data.tolist() == [0.05, 0.05] and loose.bound == 0.25
+    with pytest.raises(ValueError, match=re.escape(
+            "amplification precondition violated: the input's bound 0.25 on its max singular value "
+            "exceeds (1-delta)/gamma = 0.1875")):
+        be.amplify(loose, 4.0)
+    # the same data built by the constructor holds its exact maximum
+    exact = diag_enc(loose.data)
+    assert exact.bound == 0.05
+    assert be.amplify(exact, 4.0).data.tolist() == [0.2, 0.2]
+
+
+# -- the grid encoding's rescale by its norm ---------------------------------
+
+
 @given(unit_vectors)
 @settings(max_examples=60, deadline=None)
-def test_normalize_subnormalization_recovers_values(v):
+def test_encode_grid_values_recovers_values(v):
     x = 0.5 * np.asarray(v) / np.max(np.abs(v))  # coordinates within [-1/2, 1/2]
-    nrm = np.linalg.norm(x)
-    prep = be.encode_state(x / nrm)
-    e = be.normalize_subnormalization(be.diag_from_state(prep), nrm)
+    e = encode_grid_values(x)
     assert e.alpha == pytest.approx(1.0)
     np.testing.assert_allclose(e.data, x, atol=1e-12)
 
 
-def test_normalize_subnormalization_depth_is_logarithmic():
-    # the amplification branch keeps the true query count in the entries but
-    # accounts depth at the composite construction's stated cost
+_RAMP = np.linspace(-0.5, 0.5, 16)
+
+
+@pytest.mark.parametrize("x, rescale", [
+    (np.array([-0.375, -0.125, 0.125, 0.375]), {"scalings": 1}),  # norm below 1
+    (np.array([-0.5, 0.5, -0.5, 0.5]), {}),  # norm exactly 1
+    (_RAMP, {"amplification-uses": be.amplification_uses(float(np.linalg.norm(_RAMP)))}),  # above 1
+], ids=["below-one", "one", "above-one"])
+def test_encode_grid_values_rescales_by_its_norm(built_encodings, x, rescale):
+    e = encode_grid_values(x)
+    diag = built_encodings[0]  # the diagonalized amplitude encoding of x/||x||
+    assert dict(e.ledger.entries) == {**dict(diag.ledger.entries), **rescale}
+    # a rescale is one more encoding, built once; none leaves the diagonal as it is
+    assert len(built_encodings) == 1 + len(rescale) and built_encodings[-1] is e
+    np.testing.assert_allclose(e.data, x, atol=1e-15)
+
+
+def test_encode_grid_values_depth_is_logarithmic():
+    # the amplification keeps its true query count in the entries, but its
+    # depth is charged at the grid encoding's stated cost, log2 N
     x = np.full(256, 0.45)
-    nrm = np.linalg.norm(x)
-    d = be.diag_from_state(be.encode_state(x / nrm))
-    e = be.normalize_subnormalization(d, nrm)
+    d = be.diag_from_state(be.encode_state(x / np.linalg.norm(x)))
+    e = encode_grid_values(x)
     assert e.ledger.count("amplification-uses") > 8
     assert e.ledger.depth_units == d.ledger.depth_units + 8
 
 
-
-def test_normalize_subnormalization_validates_one_encoding(built_encodings):
-    # the amplified encoding is built once, with its final ledger: amplify's
-    # entries and the input's depth plus log2(N)
+def test_encode_grid_values_validates_one_encoding(built_encodings):
+    # above norm 1 the amplified encoding is built once, with its final
+    # ledger: amplify's entries and the input's depth plus log2(N)
     x = np.linspace(-0.5, 0.5, 16)
     nrm = np.linalg.norm(x)
     d = be.diag_from_state(be.encode_state(x / nrm))
     want = be.amplify(d, nrm)
     built_encodings.clear()
-    e = be.normalize_subnormalization(d, nrm)
-    assert len(built_encodings) == 1 and built_encodings[0] is e
+    e = encode_grid_values(x)
+    assert len(built_encodings) == 2 and built_encodings[1] is e  # the diagonal, then e
     assert e.data.tobytes() == want.data.tobytes()
     assert (e.alpha, e.ancillas, e.eps) == (want.alpha, want.ancillas, want.eps)
     assert e.ledger.entries == want.ledger.entries
     assert e.ledger.depth_units == d.ledger.depth_units + 4
-
-
-def test_normalize_subnormalization_keeps_the_amplify_precondition():
-    d = diag_enc([0.6, 0.0])
-    with pytest.raises(ValueError) as want:
-        be.amplify(d, 2.0)
-    with pytest.raises(ValueError) as got:
-        be.normalize_subnormalization(d, 2.0)
-    assert str(got.value) == str(want.value)
 
 
 # -- the primitives' checks through propagated bounds ---------------------

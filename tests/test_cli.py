@@ -402,6 +402,21 @@ def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
         "error: eps = 5e-324 underflows to 0 when divided by 4 for the first-derivative test"]
 
 
+@pytest.mark.parametrize("method, message", [
+    # Jensen estimates its left side at eps / lhs_scale
+    ("jensen", "eps = 1e-320 divided by 25.3775 is out of range for amplitude estimation: it must be "
+               "positive and finite, and its query count 1/eps must fit in a float"),
+    ("first-deriv", "eps = 1e-320 divided by 4 is too small for eigenvalue estimation: "
+                    "its query count overflows"),
+], ids=["jensen", "first-deriv"])
+def test_accuracy_errors_name_the_eps_given_and_its_divisor(tmp_path, capsys, method, message):
+    prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.1, -0.2, 0.25, 0.05]},
+            "grid": {"kind": "uniform", "n": 16}}
+    code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", "1e-320")
+    assert code == 1 and rep is None
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["second-deriv", "monotone", "all"])
 def test_eps_too_large_for_uniform_noise_names_it(tmp_path, capsys, method):
@@ -1125,16 +1140,29 @@ def test_report_determinism(tmp_path):
 
 # -- schema fuzz -------------------------------------------------------------
 
-# Mostly ordinary values, so that most problems run, with the extremes a
-# float can hold mixed in.
-_COEFFS = st.one_of(st.floats(min_value=-10.0, max_value=10.0),
-                    st.sampled_from([5e-324, -5e-324, 1e308, -1e308]))
+# Each problem starts ordinary: a valid box, integral exponents, weights
+# that sum to one, a method the polynomial takes and an ordinary eps.  Then
+# at most one fault goes in: an extreme a float can hold, or a value the
+# reader refuses.  So every extreme occurs, as its problem's only fault.
+_COEFFS = st.floats(min_value=-10.0, max_value=10.0)
+_EXTREME_COEFFS = [5e-324, -5e-324, 1e308, -1e308]
+# (centre, width) per axis; at 1e300 a width of 1 is lost to rounding
+_BOXES = [(0.0, 1.0), (1.0, 1e-3), (-3.0, 1e3)]
+_EXTREME_BOXES = [(0.0, 1e-300), (0.0, 1e300), (1e300, 1e300), (-1e300, 1e300), (1e300, 1.0)]
+_EXTREME_EPS = [5e-324, 1e-308, 1.0, 1e300, 1e308]
+# one working coordinate on the domain's edge, just outside it or far off
+_EXTREME_POINTS = [-0.5, 0.7, 1e300]
+# one exponent beyond the cap, or not an int
+_ODD_EXPONENTS = [13, 14, 1.5, 2.0, True]
+# a rounding residue at or just below zero, its mass moved to the first weight
+_RESIDUES = [-1e-15, -5e-324, -0.0]
+# one number of a real-valued field quoted, made a bool or nested once,
+# which the reader refuses
+_SPOILS = [repr, bool, lambda v: [v]]
 
 
 @st.composite
-def _uni_poly(draw):
-    degree = draw(st.one_of(st.integers(min_value=0, max_value=8),
-                            st.integers(min_value=0, max_value=400)))
+def _uni_poly(draw, degree):
     coeffs = [0.0] * (degree + 1)
     coeffs[degree] = draw(_COEFFS)
     for i, c in draw(st.lists(st.tuples(st.integers(0, degree), _COEFFS), max_size=3)):
@@ -1145,67 +1173,75 @@ def _uni_poly(draw):
 @st.composite
 def _multi_poly(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
-    exponents = st.lists(st.integers(min_value=0, max_value=14), min_size=dim, max_size=dim)
+    exponents = st.lists(st.integers(min_value=0, max_value=4), min_size=dim, max_size=dim)
     terms = draw(st.lists(st.fixed_dictionaries({"a": _COEFFS, "k": exponents}),
                           min_size=1, max_size=4))
-    # now and then one exponent that is not an int
-    odd = draw(st.sampled_from([None] * 6 + [1.5, 2.0, True]))
-    if odd is not None:
-        terms[0]["k"][0] = odd
     return {"kind": "multi", "dim": dim, "terms": terms}
 
 
 @st.composite
 def _problems(draw):
-    poly = draw(st.one_of(_uni_poly(), _multi_poly()))
+    multi, explicit, weighted = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    faults = ["coefficient", "box", "eps", "spoil", "exponent" if multi else "degree"]
+    faults += ["method"] * multi + ["point"] * explicit + ["weights", "residue"] * weighted
+    fault = draw(st.sampled_from([None] * len(faults) + faults))
+
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    if multi:
+        poly = draw(_multi_poly())
+        if fault == "exponent":
+            poly["terms"][0]["k"][0] = pick(_ODD_EXPONENTS)
+        if fault == "coefficient":
+            poly["terms"][0]["a"] = pick(_EXTREME_COEFFS)
+    else:
+        poly = draw(_uni_poly(draw(st.integers(9, 400) if fault == "degree" else st.integers(0, 8))))
+        if fault == "coefficient":
+            poly["coeffs"][draw(st.integers(0, len(poly["coeffs"]) - 1))] = pick(_EXTREME_COEFFS)
     dim = poly.get("dim", 1)
-    # (centre, width) per axis; at 1e300 a width of 1 is lost to rounding
-    boxes = [(0.0, 1.0)] * 4 + [(1.0, 1e-3), (-3.0, 1e3), (0.0, 1e-300), (0.0, 1e300),
-                                (1e300, 1e300), (-1e300, 1e300), (1e300, 1.0)]
-    centres, widths = zip(*draw(st.lists(st.sampled_from(boxes), min_size=dim, max_size=dim)))
-    problem = {"schema": 1, "poly": poly,
-               "domain": [[c - w / 2, c + w / 2] for c, w in zip(centres, widths)]}
-    if draw(st.booleans()):
-        m = draw(st.integers(min_value=1, max_value=16))
-        t = st.floats(min_value=-0.5, max_value=0.5)
-        pts = draw(st.lists(st.lists(t, min_size=dim, max_size=dim), min_size=m, max_size=m))
-        # now and then one coordinate on the edge, just outside it or far off
-        pts[0][0] = draw(st.sampled_from([pts[0][0]] * 6 + [-0.5, 0.7, 1e300]))
-        user = [[c + w * v for c, w, v in zip(centres, widths, p)] for p in pts]
+    boxes = draw(st.lists(st.sampled_from(_BOXES), min_size=dim, max_size=dim))
+    if fault == "box":
+        boxes[draw(st.integers(0, dim - 1))] = pick(_EXTREME_BOXES)
+    problem = {"schema": 1, "poly": poly, "domain": [[c - w / 2, c + w / 2] for c, w in boxes]}
+    if explicit:
+        m = draw(st.integers(min_value=2, max_value=16))
+        # distinct coordinates per axis, increasing on a univariate grid
+        lattice = st.lists(st.integers(-50, 50), min_size=m, max_size=m, unique=True)
+        axes = [[i / 100 for i in draw(lattice)] for _ in range(dim)]
+        if not multi:
+            axes[0].sort()
+        pts = [list(p) for p in zip(*axes)]
+        if fault == "point":
+            pts[0][0] = pick(_EXTREME_POINTS)
+        user = [[c + w * v for (c, w), v in zip(boxes, p)] for p in pts]
         problem["grid"] = {"kind": "explicit", "points": [p[0] for p in user] if dim == 1 else user}
     else:
-        m = draw(st.integers(min_value=2, max_value=16))
+        m = 1 << draw(st.integers(min_value=dim, max_value=4))
         problem["grid"] = {"kind": "uniform", "n": m}
-    if draw(st.booleans()):
-        raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=m, max_size=m))
-        total = sum(raw)
-        # normalized when that is possible, and now and then left as drawn
-        normalize = total > 0 and draw(st.sampled_from([True] * 6 + [False]))
-        weights = [v / total for v in raw] if normalize else raw
-        # now and then a rounding residue at or just below zero, its mass
-        # moved to the first weight
-        residue = draw(st.sampled_from([None] * 6 + [-1e-15, -5e-324, -0.0]))
-        if residue is not None and m > 1:
+    if weighted:
+        raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=m, max_size=m))
+        weights = raw if fault == "weights" else [v / sum(raw) for v in raw]
+        if fault == "residue":
             weights[0] += weights[-1]
-            weights[-1] = residue
+            weights[-1] = pick(_RESIDUES)
         problem["weights"] = weights
-    # now and then one number of a real-valued field quoted, made a bool or
-    # nested once, which the reader refuses
-    spoil = draw(st.sampled_from([None] * 7 + [repr, bool, lambda v: [v]]))
-    if spoil is not None:
-        poly, grid = problem["poly"], problem["grid"]
-        slots = [(poly["coeffs"], 0) if poly["kind"] == "uni" else (poly["terms"][0], "a"),
-                 (problem["domain"][0], 0)]
-        if grid["kind"] == "explicit":
+    if fault == "spoil":
+        grid = problem["grid"]
+        slots = [(poly["coeffs"], 0) if not multi else (poly["terms"][0], "a"), (problem["domain"][0], 0)]
+        if explicit:
             slots.append((grid["points"], 0) if dim == 1 else (grid["points"][0], 0))
-        if "weights" in problem:
+        if weighted:
             slots.append((problem["weights"], 0))
-        target, key = draw(st.sampled_from(slots))
-        target[key] = spoil(target[key])
-    flags = ["--method", draw(st.sampled_from(METHODS)),
-             "--eps", repr(draw(st.sampled_from([5e-324, 1e-308, 1e-3, 1.0, 1e300, 1e308]))),
-             "--noise", draw(st.sampled_from(["exact", "uniform"])), "--seed", "3"]
-    return problem, flags, spoil is not None
+        target, key = pick(slots)
+        target[key] = pick(_SPOILS)(target[key])
+    if fault == "method":  # a univariate method for a multivariate polynomial
+        method = pick(["second-deriv", "first-deriv", "monotone"])
+    else:
+        method = pick(["jensen", "all"] if multi else METHODS)
+    flags = ["--method", method, "--eps", repr(pick(_EXTREME_EPS if fault == "eps" else [1e-3, 1e-2])),
+             "--noise", pick(["exact", "uniform"]), "--seed", "3"]
+    return problem, flags, fault == "spoil"
 
 
 def _uni(coeffs, **extra):
@@ -1213,37 +1249,47 @@ def _uni(coeffs, **extra):
             "grid": {"kind": "uniform", "n": 8}, **extra}
 
 
-@given(_problems())
-@example((_uni([0, 0, 1]), ["--eps", "1e-308"], False))
-@example((_uni([0, 0, 1]), ["--eps", "1e308", "--noise", "uniform"], False))
-@example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.4, -0.1, 0.2, 0.4]},
-               weights=[0.25, 0.25, 0.5, -1e-15]), ["--method", "jensen"], False))
-@example((_uni([0] * 339 + [1]), ["--method", "jensen"], False))
-@example((_uni([0] * 340 + [1]), ["--method", "all"], False))
-@example((_uni([0] * 342 + [1]), ["--method", "jensen"], False))
-@example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]}),
-          ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"], False))
-@example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), [], False))
-@example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 3, "terms": [{"a": 1.0, "k": [2, 0, 0]}]},
-               grid={"kind": "uniform", "n": 4}), ["--method", "jensen"], False))
-@example((_uni([0, "0", 1]), ["--method", "jensen"], True))
-@example((_uni([0, 0, 1], weights=[]), ["--method", "jensen"], True))
-@example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.25, 0.25]}, weights=[[0.5], [0.5]]),
-          ["--method", "jensen"], True))
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, case):
-    problem, flags, refused = case
-    directory = tmp_path_factory.mktemp("fuzz")
-    inp, rep = directory / "problem.json", directory / "report.json"
-    inp.write_text(json.dumps(problem))
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(["test", "--input", str(inp), "--report", str(rep), *flags])
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert code == 1 if refused else code in (0, 1, 2)
-    assert len(errors) == (1 if code == 1 else 0)
-    if rep.exists():  # a report is strict JSON: no NaN or Infinity
-        json.loads(rep.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
-    else:
-        assert code == 1
+def test_every_problem_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory):
+    """Every problem ends in exit 0, 1 or 2 with at most one error line, and
+    at least half of those the reader accepts run to a report."""
+    reports = []  # whether each problem the reader accepts wrote a report
+
+    @given(_problems())
+    @example((_uni([0, 0, 1]), ["--eps", "1e-308"], False))
+    @example((_uni([0, 0, 1]), ["--eps", "1e308", "--noise", "uniform"], False))
+    @example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.4, -0.1, 0.2, 0.4]},
+                   weights=[0.25, 0.25, 0.5, -1e-15]), ["--method", "jensen"], False))
+    @example((_uni([0] * 339 + [1]), ["--method", "jensen"], False))
+    @example((_uni([0] * 340 + [1]), ["--method", "all"], False))
+    @example((_uni([0] * 342 + [1]), ["--method", "jensen"], False))
+    @example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 2, "terms": [{"a": 5e-324, "k": [0, 3]}]}),
+              ["--method", "jensen", "--eps", "1e-9", "--noise", "uniform"], False))
+    @example((_uni([0, 0, 1], domain=[[0, 1e-300]], grid={"kind": "explicit", "points": [1e300]}), [], False))
+    @example((dict(_uni([0, 0, 1]), poly={"kind": "multi", "dim": 3, "terms": [{"a": 1.0, "k": [2, 0, 0]}]},
+                   grid={"kind": "uniform", "n": 4}), ["--method", "jensen"], False))
+    @example((_uni([0, "0", 1]), ["--method", "jensen"], True))
+    @example((_uni([0, 0, 1], weights=[]), ["--method", "jensen"], True))
+    @example((_uni([0, 0, 1], grid={"kind": "explicit", "points": [-0.25, 0.25]}, weights=[[0.5], [0.5]]),
+              ["--method", "jensen"], True))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def check(case):
+        problem, flags, refused = case
+        directory = tmp_path_factory.mktemp("fuzz")
+        inp, rep = directory / "problem.json", directory / "report.json"
+        inp.write_text(json.dumps(problem))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["test", "--input", str(inp), "--report", str(rep), *flags])
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert code == 1 if refused else code in (0, 1, 2)
+        assert len(errors) == (1 if code == 1 else 0)
+        if rep.exists():  # a report is strict JSON: no NaN or Infinity
+            json.loads(rep.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+        else:
+            assert code == 1
+        if not refused:
+            reports.append(rep.exists())
+
+    check()
+    assert 2 * sum(reports) >= len(reports), f"{sum(reports)} reports of {len(reports)}"

@@ -89,8 +89,9 @@ def test_largest_eigenvalue_ledger_cost():
     lambda: largest_eigenvalue(diag_enc([0.5, 0.25]), EstimatorConfig(eps=1e-308)),
     # the query count fits, but the depth scaled by it does not
     lambda: largest_eigenvalue(diag_enc([0.5, 0.25], depth=10**300), EstimatorConfig(eps=1e-10)),
-    *(lambda eps=eps: amplitude_estimate(diag_enc([0.3, 0.1]), EstimatorConfig(), eps=eps)
-      for eps in (5e-324, 0.0, math.inf, math.nan)),
+    # accuracies eps/scale of 5e-324, 0, inf and NaN
+    *(lambda eps=eps, scale=scale: amplitude_estimate(diag_enc([0.3, 0.1]), EstimatorConfig(eps=eps), scale)
+      for eps, scale in ((5e-324, 1.0), (0.01, math.inf), (0.01, 5e-324), (0.01, math.nan))),
 ], ids=["eigenvalue-queries", "eigenvalue-depth", "amplitude-subnormal", "amplitude-zero",
         "amplitude-inf", "amplitude-nan"])
 def test_estimators_reject_an_accuracy_a_float_cannot_count(estimate):
@@ -114,7 +115,7 @@ def test_uniform_noise_rejects_an_eps_whose_range_overflows():
         with pytest.raises(ValueError, match="eps = "):
             largest_eigenvalue(diag_enc([0.5, 0.25]), cfg)
         with pytest.raises(ValueError, match="eps = "):
-            amplitude_estimate(diag_enc([0.5, 0.25]), EstimatorConfig(noise_mode="uniform"), eps=eps)
+            amplitude_estimate(diag_enc([0.5, 0.25]), cfg, 1.0)
 
 
 def test_largest_eigenvalue_noise_within_eps():
@@ -258,13 +259,13 @@ def test_overlap_gadget_dimension_mismatch():
 def test_amplitude_estimate_reads_first_entry():
     cfg = EstimatorConfig(eps=0.01)
     e = diag_enc([0.3, 0.1])
-    a = amplitude_estimate(e, cfg, eps=cfg.eps)
+    a = amplitude_estimate(e, cfg, 1.0)
     assert a.value == pytest.approx(0.3)
     assert a.ledger.count("amplitude-estimation-queries") == 100
 
 
 def test_amplitude_estimate_eps_override():
     cfg = EstimatorConfig(eps=0.01, seed=1, noise_mode="uniform")
-    a = amplitude_estimate(diag_enc([0.3, 0.1]), cfg, salt=9, eps=0.001)
+    a = amplitude_estimate(diag_enc([0.3, 0.1]), cfg, 10.0, salt=9)
     assert abs(a.value - 0.3) <= 0.001
     assert a.ledger.count("amplitude-estimation-queries") == 1000

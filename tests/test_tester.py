@@ -611,13 +611,13 @@ def _reference_jensen_univariate(f: Poly, grid: Grid, w: WeightVector, cfg: Esti
     f4 = f.compose_affine(0.0, 4.0)
     s_lhs = max(1.0, 2.0 * certified_sup(f4))
     lhs_enc = transform(gadget_lhs, f4.scaled(s_lhs))
-    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=21, eps=cfg.eps / s_lhs)
+    a_lhs = amplitude_estimate(lhs_enc, cfg, s_lhs, salt=21)
     lhs = a_lhs.value * s_lhs
 
     bounds = Bounds.from_poly(f)
     m_enc = transform(grid_enc, f.scaled(bounds.f_sup))
     gadget_rhs = overlap_gadget(m_enc, sqrt_lam)
-    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * bounds.f_sup))
+    a_rhs = amplitude_estimate(gadget_rhs, cfg, 4.0 * bounds.f_sup, salt=22)
     rhs = a_rhs.value * 4.0 * bounds.f_sup
 
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
@@ -632,12 +632,12 @@ def _reference_jensen_multivariate(f: MultiPoly, grid: Grid, w: WeightVector, cf
 
     big_m, corr_rhs = build_multivariate_M(f, axis_encs)
     gadget_rhs = overlap_gadget(big_m, sqrt_lam)
-    a_rhs = amplitude_estimate(gadget_rhs, cfg, salt=22, eps=cfg.eps / (4.0 * corr_rhs))
+    a_rhs = amplitude_estimate(gadget_rhs, cfg, 4.0 * corr_rhs, salt=22)
     rhs = a_rhs.value * 4.0 * corr_rhs
 
     gadgets = [overlap_gadget(e, sqrt_lam) for e in axis_encs]
     lhs_enc, corr_lhs = build_multivariate_M(f, gadgets, value_scale=0.25)
-    a_lhs = amplitude_estimate(lhs_enc, cfg, salt=21, eps=cfg.eps / corr_lhs)
+    a_lhs = amplitude_estimate(lhs_enc, cfg, corr_lhs, salt=21)
     lhs = a_lhs.value * corr_lhs
 
     ledger = a_lhs.ledger.merged(a_rhs.ledger)
