@@ -1,23 +1,27 @@
 """Convexity via consecutive first-derivative differences.
 
-Builds the masked diagonal encoding of (f'(x_{i+1}) - f'(x_i)) / (2P) as the
-difference of M1 (entries f'(x_i)/P) conjugated by the cyclic shift and M1
-itself, and tests the spectrum of (I - M3)/2 against the threshold 1/2.  The
-wrap-around difference is masked to zero so it cannot fake a violation on a
-convex function.
+The test decides one masked diagonal encoding, (2I - S^dagger M1 S + M1)/4,
+whose entries are 1/2 - (f'(x_{i+1}) - f'(x_i)) / (4P): M1 holds f'(x_i)/P,
+its conjugate by the cyclic shift S holds f'(x_{i+1})/P, and one weighted
+LCU combines them with the identity.  Its largest eigenvalue is compared
+with the threshold 1/2.  The wrap-around entry is masked to zero so it
+cannot fake a violation on a convex function.
 """
 
 import numpy as np
 
-from qshape import EstimatorConfig, Grid, Poly, build_M3, test_convex_first_derivative
+import qshape.blockenc as be
+from qshape import Bounds, EstimatorConfig, Grid, Poly, test_convex_first_derivative, transform
 
 cfg = EstimatorConfig(eps=1e-3, seed=0, noise_mode="exact")
 grid = Grid.from_points([-0.4, -0.2, 0.0, 0.2])
 
-print("== the masked difference encoding for f = x^2 ==")
-e = build_M3(Poly([0, 0, 1.0]), grid)
+print("== the decided operator for f = x^2 ==")
+f = Poly([0, 0, 1.0])
+m1 = transform(grid.axis_encodings[0], f.derivative(), Bounds.from_poly(f).d1_sup)
+e = be.product(grid.mask_complement, be.lcu([grid.identity, be.shift(m1), m1], [2, -1, 1]))
 print("diagonal entries:", np.round(e.data, 6))
-print("last entry is the masked wrap-around term\n")
+print("each below 1/2 by the difference over 4P; the last is the masked wrap-around term\n")
 
 print("== f = x^2 / 4 on a uniform grid ==")
 v = test_convex_first_derivative(Poly([0, 0, 0.25]), Grid.uniform(8), cfg)

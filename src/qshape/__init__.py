@@ -16,7 +16,6 @@ from .tester import (
     Outcome,
     Verdict,
     WeightVector,
-    build_M3,
     build_multivariate_M,
     encode_grid_values,
     test_convex_first_derivative,
@@ -48,7 +47,6 @@ __all__ = [
     "Outcome",
     "Verdict",
     "WeightVector",
-    "build_M3",
     "build_multivariate_M",
     "encode_grid_values",
     "test_convex_first_derivative",

@@ -59,7 +59,7 @@ class EstimatorConfig:
         e = self.eps if eps is None else eps
         # numpy needs the range high - low = 2e to be finite
         if not math.isfinite(2.0 * e):
-            raise ValueError(f"eps = {e:.6g} is too large for uniform noise: "
+            raise ValueError(f"eps = {e!r} is too large for uniform noise: "
                              "the draw's range 2 eps overflows")
         rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, salt])
         return float(rng.uniform(-e, e))
@@ -77,7 +77,7 @@ def _accuracy(cfg: EstimatorConfig, scale: float) -> tuple[float, str]:
     """The accuracy cfg.eps/scale an estimator runs at, and how its errors
     name it: the eps the user gave, and the factor a pipeline divided it by."""
     eps = cfg.eps / scale
-    return eps, f"eps = {eps:.6g}" if scale == 1.0 else f"eps = {cfg.eps!r} divided by {scale:.6g}"
+    return eps, f"eps = {eps!r}" if scale == 1.0 else f"eps = {cfg.eps!r} divided by {scale:.6g}"
 
 
 def largest_eigenvalue(e: BlockEnc, cfg: EstimatorConfig, salt: int = 0, scale: float = 1.0) -> Estimate:

@@ -2,7 +2,8 @@
 
 Four tests: second-derivative and monotonicity (the sign of f'' or of
 +-f' at the grid points, through one pipeline), first-derivative
-(consecutive differences of f' through the cyclic shift), and Jensen
+(consecutive differences of f' through the cyclic shift, decided as one
+masked combination), and Jensen
 (univariate and multivariate).  Every verdict is margin-aware: positive
 verdicts are evidence at the sampled points, negative verdicts carry a
 directly checkable witness, and estimates inside the 2*eps band around a
@@ -33,7 +34,6 @@ __all__ = [
     "test_convex_first_derivative",
     "test_convex_jensen",
     "test_monotone",
-    "build_M3",
     "build_multivariate_M",
 ]
 
@@ -120,7 +120,7 @@ class Grid:
     @functools.cached_property
     def mask_complement(self) -> BlockEnc:
         """The first-derivative test's :func:`_mask_complement`, built once
-        for each of its uses."""
+        per grid for every call on it."""
         return _mask_complement(self)
 
     @functools.cached_property
@@ -281,7 +281,7 @@ def _verdict(value: float, threshold: float, outcomes: tuple[str, str], witness_
     distance from the band's edge."""
     band = 2.0 * eps
     if band == math.inf:  # the margin would be -inf
-        raise ValueError(f"eps = {eps:.6g} is too large for a verdict: the band 2 eps overflows")
+        raise ValueError(f"eps = {eps!r} is too large for a verdict: the band 2 eps overflows")
     below, above = outcomes
     if value < threshold - band:
         outcome = below
@@ -353,60 +353,42 @@ def test_monotone(f: Poly, grid: Grid, direction: str, cfg: EstimatorConfig) -> 
 # first-derivative test
 
 
-def _masked_indices(grid: Grid) -> list[int]:
-    # wrap-around difference plus any padded duplicates
-    return list(range(grid.n_original - 1, grid.n))
-
-
 def _mask_complement(grid: Grid) -> BlockEnc:
+    # the wrap-around difference and any padded duplicates are masked
     r = np.ones(grid.n)
-    r[_masked_indices(grid)] = -1.0
+    r[grid.n_original - 1:] = -1.0
     reflection = BlockEnc(r, alpha=1.0, ancillas=0, eps=0.0,
                           ledger=ResourceLedger.of(depth_units=int(round(math.log2(grid.n)))))
     return be.lcu([grid.identity, reflection], [1, 1])
 
 
-def _check_increasing(grid: Grid):
-    xs = grid.original_points[:, 0]
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("grid points must be strictly increasing")
-
-
-def build_M3(f: Poly, grid: Grid, bounds: Bounds | None = None) -> BlockEnc:
-    """Diagonal encoding of (f'(x_{i+1}) - f'(x_i)) / (2P), with the
-    wrap-around entry (and any padded duplicates) masked to zero.
-
-    M1 holds f'(x_i)/P; conjugated by the cyclic shift
-    (:func:`blockenc.shift`) it holds f'(x_{i+1})/P, and one ``lcu`` takes
-    the difference.
-    """
-    if grid.dim != 1:
-        raise ValueError("the first-derivative construction is univariate")
-    _check_increasing(grid)
-    if bounds is None:
-        bounds = Bounds.from_poly(f)
-    m1 = transform(grid.axis_encodings[0], f.derivative(), bounds.d1_sup)
-    return be.product(grid.mask_complement, be.lcu([be.shift(m1), m1], [1, -1]))
-
-
 def test_convex_first_derivative(f: Poly, grid: Grid, cfg: EstimatorConfig) -> Verdict:
     """Sign of the minimum consecutive first-derivative difference via the
-    largest eigenvalue of the masked (I - M3)/2, whose entries are
-    1/2 - diff_i/(4P), against the threshold 1/2.  It is estimated at eps/4,
-    so its band is 2*eps in units of diff/P."""
+    largest eigenvalue of the masked (2I - S^dagger M1 S + M1)/4 against the
+    threshold 1/2.
+
+    M1 holds f'(x_i)/P; conjugated by the cyclic shift S
+    (:func:`blockenc.shift`) it holds f'(x_{i+1})/P, so one weighted ``lcu``
+    has the entries 1/2 - diff_i/(4P).  The mask zeroes the wrap-around
+    entry and any padded duplicates, so they cannot pin the spectrum at the
+    threshold.  It is estimated at eps/4, so its band is 2*eps in units of
+    diff/P.
+    """
     if grid.n_original < 2:
         raise ValueError("first-derivative test needs at least two grid points")
     bounds = Bounds.from_poly(f)
-    m3 = build_M3(f, grid, bounds)
-    # zero the masked diagonal entries of the shifted matrix as well, so the
-    # wrap-around term cannot pin the spectrum at the threshold
-    shifted = be.product(grid.mask_complement, be.lcu([grid.identity, m3], [1, -1]))
+    if grid.dim != 1:
+        raise ValueError("the first-derivative construction is univariate")
+    xs = grid.original_points[:, 0]
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("grid points must be strictly increasing")
+    m1 = transform(grid.axis_encodings[0], f.derivative(), bounds.d1_sup)
+    shifted = be.product(grid.mask_complement, be.lcu([grid.identity, be.shift(m1), m1], [2, -1, 1]))
     if cfg.eps / 4.0 == 0.0:
         raise ValueError(f"eps = {cfg.eps!r} underflows to 0 when divided by 4 "
                          "for the first-derivative test")
 
     def steepest_drop():
-        xs = grid.original_points[:, 0]
         i = int(np.argmin(np.diff(f.derivative()(xs))))
         return (float(xs[i]), float(xs[i + 1]))
 

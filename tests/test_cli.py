@@ -402,17 +402,24 @@ def test_first_deriv_eps_that_underflows_names_it(tmp_path, capsys):
         "error: eps = 5e-324 underflows to 0 when divided by 4 for the first-derivative test"]
 
 
-@pytest.mark.parametrize("method, message", [
+_TOO_SMALL = "is too small for eigenvalue estimation: its query count overflows"
+
+
+@pytest.mark.parametrize("method, eps, message", [
     # Jensen estimates its left side at eps / lhs_scale
-    ("jensen", "eps = 1e-320 divided by 25.3775 is out of range for amplitude estimation: it must be "
-               "positive and finite, and its query count 1/eps must fit in a float"),
-    ("first-deriv", "eps = 1e-320 divided by 4 is too small for eigenvalue estimation: "
-                    "its query count overflows"),
-], ids=["jensen", "first-deriv"])
-def test_accuracy_errors_name_the_eps_given_and_its_divisor(tmp_path, capsys, method, message):
+    ("jensen", "1e-320", "eps = 1e-320 divided by 25.3775 is out of range for amplitude estimation: it must "
+                         "be positive and finite, and its query count 1/eps must fit in a float"),
+    ("first-deriv", "1e-320", f"eps = 1e-320 divided by 4 {_TOO_SMALL}"),
+    # an undivided eps is named as typed too, a subnormal one included
+    ("second-deriv", "1e-320", f"eps = 1e-320 {_TOO_SMALL}"),
+    ("monotone", "1e-320", f"eps = 1e-320 {_TOO_SMALL}"),
+    ("second-deriv", "1.7976931348623157e308",
+     "eps = 1.7976931348623157e+308 is too large for a verdict: the band 2 eps overflows"),
+], ids=["jensen", "first-deriv", "second-deriv", "monotone", "band-in-full"])
+def test_accuracy_errors_name_the_eps_given_and_its_divisor(tmp_path, capsys, method, eps, message):
     prob = {"schema": 1, "poly": {"kind": "uni", "coeffs": [0.1, -0.2, 0.25, 0.05]},
             "grid": {"kind": "uniform", "n": 16}}
-    code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", "1e-320")
+    code, rep = run_cli(tmp_path, prob, "--method", method, "--eps", eps)
     assert code == 1 and rep is None
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 

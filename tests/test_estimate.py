@@ -110,7 +110,7 @@ def test_uniform_noise_rejects_an_eps_whose_range_overflows():
             continue
         with pytest.raises(ValueError) as err:
             cfg.draw(11)
-        assert str(err.value) == (f"eps = {eps:.6g} is too large for uniform noise: "
+        assert str(err.value) == (f"eps = {eps!r} is too large for uniform noise: "
                                   "the draw's range 2 eps overflows")
         with pytest.raises(ValueError, match="eps = "):
             largest_eigenvalue(diag_enc([0.5, 0.25]), cfg)

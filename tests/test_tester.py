@@ -23,7 +23,6 @@ from qshape.tester import (
     Grid,
     Outcome,
     WeightVector,
-    build_M3,
     build_multivariate_M,
     encode_grid_values,
     test_convex_first_derivative,
@@ -347,20 +346,19 @@ def test_threshold_identity():
 # -- first-derivative test -------------------------------------------------
 
 
-def test_build_M3_entries():
-    f = Poly([0, 0, 1.0])  # f' = 2x
-    g = Grid.from_points([-0.4, -0.2, 0.0, 0.2])
-    e = build_M3(f, g)
-    from qshape.poly import Bounds
-
-    p = Bounds.from_poly(f).d1_sup
-    expected = np.full(4, 0.4 / (2.0 * p))
-    expected[-1] = 0.0  # wrap-around masked
-    np.testing.assert_allclose(e.data, expected, atol=1e-10)
+# The operator the first-derivative test decides, caught on its way to the
+# estimate, and its dense reference: the cyclic increment S stored as an
+# n x n permutation matrix, and S^T diag(M1) S multiplied densely.
 
 
-# Dense reference for build_M3: the cyclic increment S stored as an n x n
-# permutation matrix, and S^T diag(M1) S multiplied densely.
+def _decided_operator(f: Poly, grid: Grid) -> BlockEnc:
+    caught = []
+    decide = qshape.tester._threshold_test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qshape.tester, "_threshold_test", lambda e, *args: caught.append(e) or decide(e, *args))
+        test_convex_first_derivative(f, grid, CFG)
+    (e,) = caught
+    return e
 
 
 def _cyclic_increment(n: int) -> np.ndarray:
@@ -369,7 +367,7 @@ def _cyclic_increment(n: int) -> np.ndarray:
     return s
 
 
-def _dense_build_M3(f: Poly, grid: Grid) -> BlockEnc:
+def _dense_decided_operator(f: Poly, grid: Grid) -> BlockEnc:
     bounds = Bounds.from_poly(f)
     n = grid.n
     m1 = transform(encode_grid_values(grid.x), f.derivative().scaled(bounds.d1_sup))
@@ -377,7 +375,7 @@ def _dense_build_M3(f: Poly, grid: Grid) -> BlockEnc:
     # S is exact: M1's contract, and S and S^T charged log2(n) depth units each
     shifted = BlockEnc((s.T @ np.diag(m1.data) @ s).diagonal(), alpha=m1.alpha, ancillas=m1.ancillas,
                        eps=m1.eps, ledger=m1.ledger.merged(depth_units=2 * int(round(math.log2(n)))))
-    return be.product(_mask_complement(grid), be.lcu([shifted, m1], [1, -1]))
+    return be.product(_mask_complement(grid), be.lcu([be.identity(n), shifted, m1], [2, -1, 1]))
 
 
 def _m3_cases():
@@ -396,19 +394,34 @@ def _m3_cases():
 
 @pytest.mark.parametrize("f, grid", [c[1:] for c in _m3_cases()], ids=[c[0] for c in _m3_cases()])
 def test_build_M3_matches_dense_reference(f, grid):
-    got, ref = build_M3(f, grid), _dense_build_M3(f, grid)
+    # the masked (2I - S^T M1 S + M1)/4 that the first-derivative test decides
+    got, ref = _decided_operator(f, grid), _dense_decided_operator(f, grid)
     assert got.data.tobytes() == ref.data.tobytes()
     assert (got.alpha, got.ancillas, got.eps, got.ledger) == (ref.alpha, ref.ancillas, ref.eps, ref.ledger)
 
 
-def test_build_M3_linear_is_zero():
-    e = build_M3(Poly([0.3, 0.5]), Grid.uniform(8))
-    np.testing.assert_allclose(e.data, np.zeros(8), atol=1e-12)
+def test_first_derivative_lambda_max_is_the_least_difference():
+    # exact noise reads the largest entry, 1/2 - min_i (f'(x_{i+1}) - f'(x_i))/(4P)
+    cases = [("example", Poly([0, 0, 1.0]), Grid.from_points([-0.4, -0.2, 0.0, 0.2])), *_m3_cases()]
+    for name, f, grid in cases:
+        xs = grid.original_points[:, 0]
+        least = np.min(np.diff(f.derivative()(xs))) / Bounds.from_poly(f).d1_sup
+        lam = test_convex_first_derivative(f, grid, CFG).estimates["lambda_max"]
+        assert abs(lam - (0.5 - least / 4.0)) <= 2.0**-52, name
 
 
-def test_build_M3_requires_sorted_grid():
-    with pytest.raises(ValueError):
-        build_M3(Poly([0, 0, 1.0]), Grid.from_points([0.2, -0.2]))
+def test_first_derivative_linear_is_inconclusive():
+    # f' is constant, so every unmasked entry is 1/2 up to rounding and the
+    # masked one is 0
+    f, grid = Poly([0.3, 0.5]), Grid.uniform(8)
+    e = _decided_operator(f, grid)
+    np.testing.assert_allclose(e.data, [0.5] * 7 + [0.0], rtol=0.0, atol=2.0**-52)
+    assert test_convex_first_derivative(f, grid, CFG).outcome == Outcome.INCONCLUSIVE
+
+
+def test_first_derivative_requires_sorted_grid():
+    with pytest.raises(ValueError, match="grid points must be strictly increasing"):
+        test_convex_first_derivative(Poly([0, 0, 1.0]), Grid.from_points([0.2, -0.2]), CFG)
 
 
 def test_first_derivative_convex_example():
@@ -426,19 +439,22 @@ def test_first_derivative_concave_witness():
 
 
 def test_first_derivative_builds_its_mask_once(monkeypatch):
-    # once per grid for its two uses in a call, and once over the calls
-    # that share the grid: a uniform grid fetched again is the same grid
+    # once per grid, over the calls that share the grid (a uniform grid
+    # fetched again is the same grid), and used once in each call
     qshape.tester._uniform_grid.cache_clear()
-    builds = []
-    build = qshape.tester._mask_complement
+    builds, factors = [], []
+    build, product = qshape.tester._mask_complement, be.product
     monkeypatch.setattr(qshape.tester, "_mask_complement", lambda grid: builds.append(grid) or build(grid))
+    monkeypatch.setattr(be, "product", lambda *es: factors.extend(es) or product(*es))
     explicit = Grid.from_points([-0.4, -0.1, 0.2])
     for fetch in (lambda: Grid.uniform(8), lambda: explicit):
         builds.clear()
         grids = [fetch(), fetch()]
         for grid in grids:
+            factors.clear()
             v = test_convex_first_derivative(Poly([0, 0, 0.25]), grid, CFG)
             assert v.outcome == Outcome.CONVEX_ON_GRID
+            assert sum(e is grid.mask_complement for e in factors) == 1
         assert grids[0] is grids[1]
         assert len(builds) == 1 and builds[0] is grids[0]
 
@@ -509,8 +525,8 @@ def test_first_derivative_decides_outside_twice_eps(coeffs, grid, eps):
 
 
 def test_first_derivative_estimation_queries_grow_as_log_n():
-    # M3 holds the differences over 2P at every n, so the estimate is made
-    # at eps/4 and its queries (1/eps')(log2 n + log2(1/eps')) grow with log
+    # the decided operator holds 1/2 - diff/(4P) at every n, so the estimate
+    # is made at eps/4 and its queries (1/eps')(log2 n + log2(1/eps')) grow with log
     # n alone: 5,058 at n = 2^4 and 9,058 at 2^14 for eps = 0.01
     f = Poly([0.1, -0.2, 0.25, 0.05])
     small, large = (test_convex_first_derivative(f, Grid.uniform(n), CFG).ledger
