@@ -24,7 +24,7 @@ print("== f = -x^2: the inequality flips ==")
 v = test_convex_jensen(Poly([0, 0, -1.0]), grid, w, cfg)
 print(f"outcome: {v.outcome}")
 print(f"LHS = {v.estimates['jensen_lhs']:.6f} > RHS = {v.estimates['jensen_rhs']:.6f}")
-print(f"witness weights: {v.witness['lambdas']}\n")
+print(f"witness centre: {v.witness['center']}\n")
 
 print("== uniform noise mode stays within eps after scale correction ==")
 noisy = EstimatorConfig(eps=1e-3, seed=11, noise_mode="uniform")

@@ -226,7 +226,7 @@ def _witness_to_user(witness, box, method: str):
     if method != "jensen":
         return _to_user(witness, box)
     # a Jensen witness holds values beside its centre, the one point in it
-    if isinstance(witness, dict):  # the verdict's {"center", "lambdas"}
+    if isinstance(witness, dict):  # the verdict's {"center"}
         return dict(witness, center=_to_user(witness["center"], box))
     return [_to_user(witness[0], box), *witness[1:]]  # the oracle's (center, lhs, rhs)
 

@@ -35,11 +35,15 @@ def oracle_convex(f, points, weights=None, mode: str = "second") -> OracleResult
     pts = np.asarray(points, dtype=float)
     if weights is not None or isinstance(f, MultiPoly):
         lam = np.asarray(weights, dtype=float)
+        n = len(lam)
         # one point per weight: a row of coordinates, or a number
-        xs = pts.reshape(len(lam), -1) if isinstance(f, MultiPoly) else pts.reshape(-1)
+        xs = pts.reshape(n, -1) if isinstance(f, MultiPoly) else pts.reshape(-1)
         center = lam @ xs
-        lhs = float(f(center))
-        rhs = float(lam @ f(xs))
+        # f at the points and the centre in one pass, the centre appended
+        # last, so that the weighted sum reads the same leading block
+        vals = f(np.concatenate((xs, center[None])))
+        lhs = float(vals[n])
+        rhs = float(lam @ vals[:n])
         verdict = "jensen_violated" if lhs > rhs else "jensen_consistent"
         witness = (center, lhs, rhs) if verdict == "jensen_violated" else None
         return OracleResult(verdict, witness, {"lhs": lhs, "rhs": rhs})

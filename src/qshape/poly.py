@@ -124,7 +124,8 @@ class MultiPoly:
             raise ValueError("dim must be positive")
         seen: dict[tuple[int, ...], float] = {}
         for a, k in terms:
-            k = tuple(_integer(v, "exponent") for v in k)
+            # a plain int is taken as it is; anything else is read by _integer
+            k = tuple(v if type(v) is int else _integer(v, "exponent") for v in k)
             if len(k) != dim:
                 raise ValueError(f"exponent tuple {k} does not match dim={dim}")
             if any(v < 0 for v in k):
@@ -152,7 +153,9 @@ class MultiPoly:
         out = np.zeros(pts.shape[0])
         columns, powers = {}, {}
         for a, k in self.terms:
-            mono = np.full(pts.shape[0], a)
+            # the bare coefficient until a * pw starts the term: the products
+            # of np.full(m, a) *= pw, without the full array
+            mono = a
             for j, kj in enumerate(k):
                 if kj:
                     pw = powers.get((j, kj))
@@ -160,7 +163,10 @@ class MultiPoly:
                         if j not in columns:
                             columns[j] = np.ascontiguousarray(pts[:, j])
                         pw = powers[j, kj] = columns[j] ** kj
-                    mono *= pw
+                    if mono is a:
+                        mono = a * pw
+                    else:
+                        mono *= pw
             out += mono
         return out[0] if np.asarray(x).ndim == 1 else out
 

@@ -12,6 +12,7 @@ decision threshold come back Inconclusive.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -128,6 +129,12 @@ class Grid:
         """The identity on the grid's register, for the threshold shifts and
         the mask."""
         return be.identity(self.n)
+
+    @functools.cached_property
+    def multivariate_memo(self) -> "_BuildMemo":
+        """The powers and term products that :func:`build_multivariate_M`
+        builds from :attr:`axis_encodings`, kept for every call on the grid."""
+        return _BuildMemo(self.axis_encodings)
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1) -> "Grid":
@@ -406,8 +413,36 @@ _BOX_OVERFLOW = ("coefficients overflow on this box: a term's |a prod_j M_j^k_j|
                  "where M_j = |c_j| + w_j/v is the largest |x_j| its powers read")
 
 
+# How many powers and term products a build memo keeps, the least recently
+# used dropped first: on a centred box, 3 axes and exponents up to 6 ask for
+# at most 15 powers and 7^3 - 1 products.
+_MEMO_CAP = 512
+
+
+class _BuildMemo:
+    """Encodings that :func:`build_multivariate_M` built from one tuple of
+    axis encodings, keyed by everything each build reads besides them: never
+    by a coefficient or a weight, so a hit returns the very encoding a fresh
+    build would make."""
+
+    def __init__(self, axis_encodings):
+        self.axis_encodings = tuple(axis_encodings)
+        self.entries = collections.OrderedDict()
+
+    def get(self, key, build):
+        """The encoding under ``key``, built by ``build()`` on a miss."""
+        entries = self.entries
+        if key in entries:
+            entries.move_to_end(key)
+            return entries[key]
+        value = entries[key] = build()
+        if len(entries) > _MEMO_CAP:
+            entries.popitem(last=False)
+        return value
+
+
 def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
-                         value_scale: float = 1.0) -> tuple[BlockEnc, float]:
+                         value_scale: float = 1.0, memo: _BuildMemo | None = None) -> tuple[BlockEnc, float]:
     """Diagonal encoding with entries f(x)/correction at the points
     x_j = c_j + w_j t_j of a box, from per-axis diagonal encodings whose
     entries are v t_j, v = ``value_scale`` (1 for a grid's axis encodings,
@@ -415,14 +450,20 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
 
     ``box`` is the pair (centres c, widths w); None is the working domain
     itself (c = 0, w = 1, so x = t).  Each (axis, exponent) power is built
-    once, as one transform of P(y) = ((c_j + w_j y/v)/M_j)^k / 2 with
-    M_j = |c_j| + w_j/v, its sup over y in [-1, 1], and amplified by 2
-    wherever the box keeps ((|c_j| + w_j/2)/M_j)^k within 3/4.  On a
-    centred box P is y^k/2, and exponent 1 is the axis encoding itself.
-    Each term is one product of its powers, weighted by a prod_j M_j^k_j,
-    doubled for each of its unamplified powers, and one weighted ``lcu``
-    sums the terms.  The returned correction, the sum of the weights'
-    magnitudes, undoes everything at estimation time.
+    once, as one transform of P(y) = (alpha_j + beta_j y)^k / 2 with
+    alpha_j = c_j/M_j, beta_j = w_j/(v M_j) and M_j = |c_j| + w_j/v, its
+    sup over y in [-1, 1], and amplified by 2 wherever the box keeps
+    ((|c_j| + w_j/2)/M_j)^k within 3/4.  On a centred box P is y^k/2, and
+    exponent 1 is the axis encoding itself.  Each term is one product of its
+    powers, weighted by a prod_j M_j^k_j, doubled for each of its
+    unamplified powers, and one weighted ``lcu`` sums the terms.  The
+    returned correction, the sum of the weights' magnitudes, undoes
+    everything at estimation time.
+
+    Powers and products are looked up in ``memo``, a :class:`_BuildMemo`
+    of these same axis encodings (a fresh one when None): a power by its
+    axis, the bits of alpha_j and beta_j, k and whether it is amplified, a
+    product by its powers' keys.
     """
     axis_encodings = list(axis_encodings)
     if len(axis_encodings) != f.dim:
@@ -437,6 +478,11 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
             raise ValueError("axis encodings must share a dimension")
         if abs(e.alpha - 1.0) > 1e-12:
             raise ValueError("axis encodings must be normalized to alpha = 1")
+    if memo is None:
+        memo = _BuildMemo(axis_encodings)
+    elif not (len(memo.axis_encodings) == f.dim
+              and all(a is b for a, b in zip(memo.axis_encodings, axis_encodings))):
+        raise ValueError("a build memo serves only the axis encodings it was made for")
     centres, widths = (np.zeros(f.dim), np.ones(f.dim)) if box is None else box
     # Python floats: a float power out of range raises, where numpy's warns
     axes = [(float(c), float(w), abs(float(c)) + float(w) / value_scale) for c, w in zip(centres, widths)]
@@ -444,36 +490,43 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
         raise ValueError("one box interval per variable required")
 
     @functools.cache
-    def power(j: int, k: int) -> tuple[BlockEnc, float]:
-        """(x_j/M_j)^k as an encoding, and the factor 1 or 2 by which its
-        entries understate it."""
+    def power(j: int, k: int) -> tuple[BlockEnc, float, tuple]:
+        """(x_j/M_j)^k as an encoding, the factor 1 or 2 by which its
+        entries understate it, and its memo key."""
         c, w, m = axes[j]
         if c == 0.0 and k == 1:
-            return axis_encodings[j], 1.0
+            return axis_encodings[j], 1.0, (j,)
         alpha, beta = c / m, w / (value_scale * m)
-        pw = transform(axis_encodings[j], Poly([0.5 * math.comb(k, i) * alpha ** (k - i) * beta**i
-                                                for i in range(k + 1)]))
-        if ((abs(c) + w * _REACH) / m) ** k <= 0.75:
-            return be.amplify(pw, 2.0), 1.0
-        return pw, 2.0
+        amplified = ((abs(c) + w * _REACH) / m) ** k <= 0.75
+
+        def build():
+            pw = transform(axis_encodings[j], Poly([0.5 * math.comb(k, i) * alpha ** (k - i) * beta**i
+                                                    for i in range(k + 1)]))
+            return be.amplify(pw, 2.0) if amplified else pw
+
+        # hex keeps the sign of a zero, which the power's coefficients keep
+        key = (j, alpha.hex(), beta.hex(), k, amplified)
+        return memo.get(key, build), 1.0 if amplified else 2.0, key
 
     weights, products = [], []
     for a, k in f.terms:
-        weight, factors = a, []
+        weight, factors, keys = a, [], []
         for j, kj in enumerate(k):
             try:
                 weight *= axes[j][2] ** kj
             except OverflowError:  # raised by a float power out of range
                 raise ValueError(_BOX_OVERFLOW) from None
             if kj:
-                pw, understated = power(j, kj)
+                pw, understated, key = power(j, kj)
                 weight *= understated
                 factors.append(pw)
+                keys.append(key)
         if not math.isfinite(weight):  # inf, or NaN where an underflow meets it
             raise ValueError(_BOX_OVERFLOW)
         if weight != 0.0:  # a weight that underflows drops its term, as a zero coefficient would
             weights.append(weight)
-            products.append(be.product(*factors) if factors else be.identity(n))
+            products.append(memo.get(tuple(keys), lambda: be.product(*factors)) if factors
+                            else be.identity(n))
     if not weights:
         return BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0), 1.0
     try:
@@ -502,7 +555,8 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=
     sqrt_lam = w.sqrt_state
     axes = grid.axis_encodings
     if isinstance(f, MultiPoly):
-        m_enc, f_scale = build_multivariate_M(f, axes, box)
+        # the grid side reads the grid's memo; the gadgets are this call's own
+        m_enc, f_scale = build_multivariate_M(f, axes, box, memo=grid.multivariate_memo)
         lhs_enc, lhs_scale = build_multivariate_M(
             f, [overlap_gadget(e, sqrt_lam) for e in axes], box, GADGET_FACTOR)
     else:
@@ -553,7 +607,7 @@ def test_convex_jensen(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box
     lhs, rhs, ledger, scales = _jensen_estimates(f, grid, w, cfg, box)
 
     def violated_at():
-        return {"center": [float(v) for v in center], "lambdas": [float(v) for v in w.lambdas]}
+        return {"center": [float(v) for v in center]}
 
     return _verdict(lhs, rhs, _CONVEXITY, violated_at,
                     {"jensen_lhs": lhs, "jensen_rhs": rhs, **scales}, ledger, cfg.eps)

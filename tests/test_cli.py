@@ -1003,10 +1003,9 @@ def _random_witnesses(rng, dim, multi):
         return float(rng.choice([rng.uniform(-0.5, 0.5), 0.0, -0.5, 0.5]))
 
     center = [coord() for _ in range(dim)]
-    lambdas = [float(v) for v in rng.dirichlet(np.ones(4))]
     lhs, rhs = float(rng.normal()), float(rng.normal())
     oracle_center = np.array(center) if multi else center[0]
-    out = [("jensen", {"center": center, "lambdas": lambdas}, (oracle_center, lhs, rhs)),
+    out = [("jensen", {"center": center}, (oracle_center, lhs, rhs)),
            ("jensen", None, None)]
     if not multi:
         number, pair = coord(), (coord(), coord())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.oracle import oracle_convex, oracle_monotone
 from qshape.poly import MultiPoly, Poly
@@ -48,6 +50,39 @@ def test_jensen_multivariate():
     assert res.verdict == "jensen_consistent"
     assert res.details["lhs"] == pytest.approx(0.0)
     assert res.details["rhs"] == pytest.approx(0.08)
+
+
+_COORDS = st.floats(-0.5, 0.5, allow_subnormal=True)
+
+
+@st.composite
+def _jensen_problems(draw):
+    """A Poly or a 1-3 axis MultiPoly, 1-16 points and convex weights."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        f = Poly(draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12)))
+        pts = np.array(draw(st.lists(_COORDS, min_size=n, max_size=n)))
+    else:
+        dim = draw(st.integers(1, 3))
+        terms = draw(st.lists(st.tuples(st.floats(-4.0, 4.0), st.tuples(*[st.integers(0, 12)] * dim)),
+                              min_size=1, max_size=8))
+        f = MultiPoly(terms, dim)
+        pts = np.array(draw(st.lists(st.lists(_COORDS, min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) + 1e-3
+    return f, pts, raw / raw.sum()
+
+
+@given(_jensen_problems())
+@settings(max_examples=200, deadline=None)
+def test_jensen_pair_is_the_two_call_evaluation(case):
+    # one pass over the points and the centre gives f(centre) and the
+    # weighted mean of f at the points as two separate calls do
+    f, pts, lam = case
+    xs = pts if isinstance(f, MultiPoly) else pts.reshape(-1)
+    center = lam @ xs
+    res = oracle_convex(f, pts, weights=lam)
+    assert res.details["lhs"].hex() == float(f(center)).hex()
+    assert res.details["rhs"].hex() == float(lam @ f(xs)).hex()
 
 
 def test_monotone_directions():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -336,6 +337,17 @@ def test_multipoly_call_is_the_per_term_evaluation(case):
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = f(x), _reference_multipoly_call(f, x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_multipoly_exponents_follow_one_integer_rule():
+    # a plain int is kept as it is; an integral float or numpy integer reads
+    # as its int; a bool, a fractional float or a string is refused
+    for k in ((2, 1), (2.0, np.int64(1))):
+        assert MultiPoly([(1.0, k)], 2).terms == ((1.0, (2, 1)),)
+        assert all(type(v) is int for v in MultiPoly([(1.0, k)], 2).terms[0][1])
+    for bad in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match=f"^exponent {re.escape(repr(bad))} is not an integer$"):
+            MultiPoly([(1.0, (bad, 1))], 2)
 
 
 def test_json_round_trip():

@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +32,7 @@ from qshape.tester import (
     test_convex_jensen,
     test_convex_second_derivative,
     test_monotone,
+    _MEMO_CAP,
     _jensen_estimates,
     _mask_complement,
     _next_pow2,
@@ -324,8 +328,8 @@ def test_threshold_band_margin_and_witness():
         if w is not None:
             jensen_outcomes.add(v.outcome)
             if negative:
-                assert v.witness["center"] == [float(c) for c in w.lambdas @ grid.points]
-                assert v.witness["lambdas"] == [float(c) for c in w.lambdas]
+                # the centre alone: the weights are the caller's own input
+                assert v.witness == {"center": [float(c) for c in w.lambdas @ grid.points]}
     assert {Outcome.INCONCLUSIVE, Outcome.NOT_CONVEX, Outcome.NOT_MONOTONE,
             Outcome.CONVEX_ON_GRID, Outcome.MONOTONE_INCREASING} <= outcomes
     assert jensen_outcomes == {Outcome.INCONCLUSIVE, Outcome.NOT_CONVEX, Outcome.CONVEX_ON_GRID}
@@ -861,6 +865,76 @@ def test_multivariate_encoding_builds_each_power_once(monkeypatch):
     assert reused > 0  # the cases do repeat powers across terms
 
 
+# one problem, written once for this process and once for a fresh one
+_MEMO_CASE = """
+import json
+import numpy as np
+from qshape import EstimatorConfig, Grid, MultiPoly, WeightVector, test_convex_jensen
+f = MultiPoly([(0.7, (2, 0)), (-0.4, (1, 3)), (0.25, (4, 2)), (1.1, (0, 2)), (-0.3, (3, 1))], 2)
+grid = Grid.uniform(32, dim=2)
+w = WeightVector.normalized(np.random.default_rng(3).exponential(1.0, 32))
+cfg = EstimatorConfig(eps=1e-3, seed=0, noise_mode="exact")
+second_box = (np.zeros(2), np.array([1.5, 0.75]))
+
+def summary(v):
+    return json.dumps({"outcome": v.outcome, "margin": v.margin.hex(), "witness": v.witness,
+                       "estimates": {k: x.hex() for k, x in v.estimates.items()},
+                       "ledger": v.ledger.as_dict()}, sort_keys=True)
+"""
+
+
+def test_jensen_reuses_the_grid_memo_on_centred_boxes(monkeypatch):
+    """A second call on the same interned grid, on a centred box of another
+    width, transforms none of the grid's axis encodings: its powers are the
+    y^k/2 that the first call built.  Its verdict, estimates and ledger are
+    those of a cold build in a fresh process."""
+    case = {}
+    exec(_MEMO_CASE, case)
+    grid = case["grid"]
+    assert grid is Grid.uniform(32, dim=2)
+    grid.multivariate_memo.entries.clear()
+    grid_side = []
+
+    def counting_transform(e, *args):
+        grid_side.append(any(e is a for a in grid.axis_encodings))
+        return transform(e, *args)
+
+    monkeypatch.setattr("qshape.tester.transform", counting_transform)
+    run = lambda box: test_convex_jensen(case["f"], grid, case["w"], case["cfg"], box=box)
+    run((np.zeros(2), np.array([0.5, 2.0])))
+    assert grid_side.count(True) > 0
+    grid_side.clear()
+    warm = run(case["second_box"])
+    assert grid_side and not any(grid_side)  # the gadgets are still this call's own
+    src = os.path.dirname(os.path.dirname(qshape.tester.__file__))
+    script = _MEMO_CASE + "print(summary(test_convex_jensen(f, grid, w, cfg, box=second_box)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == case["summary"](warm) + "\n"
+
+
+def test_grid_memo_stays_within_its_cap():
+    """Distinct off-centre boxes, one more than the cap, each add entries;
+    the memo drops the least recently used, and every build equals a fresh
+    one (no memo) bit for bit, also right after the mirror image of its box,
+    whose odd power differs only in the sign of alpha."""
+    grid = Grid.uniform(8)
+    memo = grid.multivariate_memo
+    f = MultiPoly([(1.0, (2,)), (-0.5, (3,))], 1)
+    for i in range(_MEMO_CAP + 1):
+        box = (np.array([(-1) ** i * (0.1 + i // 2 / 1024)]), np.ones(1))
+        e, corr = build_multivariate_M(f, grid.axis_encodings, box, memo=memo)
+        assert len(memo.entries) <= _MEMO_CAP
+        if i % 64 == 1 or i == _MEMO_CAP:
+            ref, ref_corr = build_multivariate_M(f, grid.axis_encodings, box)
+            assert e.data.tobytes() == ref.data.tobytes()
+            assert (e.alpha, e.ancillas, e.eps.hex(), e.bound.hex(), corr.hex()) == \
+                (ref.alpha, ref.ancillas, ref.eps.hex(), ref.bound.hex(), ref_corr.hex())
+            assert e.ledger == ref.ledger
+    assert len(memo.entries) == _MEMO_CAP
+
+
 def _reference_correction(f: MultiPoly, box, value_scale: float):
     """The correction sum |w| of the rule the build follows, term by term and
     axis by axis in Python floats, or None where the box overflows: a term
@@ -1018,6 +1092,9 @@ LIBRARY_REFUSALS = {
                   "axis encodings must share a dimension"),
     "box-axes": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8, 2).axis_encodings, box=_UNIT_BOX),
                  "one box interval per variable required"),
+    "memo-axes": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8, 2).axis_encodings,
+                                               memo=Grid.uniform(16, 2).multivariate_memo),
+                  "a build memo serves only the axis encodings it was made for"),
 }
 
 
