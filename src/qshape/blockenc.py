@@ -92,7 +92,7 @@ def _qubits(n: int) -> int:
     return int(round(math.log2(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockEnc:
     """An (alpha, a, eps) block encoding of a diagonal operator.
 
@@ -101,7 +101,7 @@ class BlockEnc:
     max|data|: the exact maximum when the constructor checks the data, and
     the bound a primitive propagates from its inputs otherwise (see
     :func:`_built`).  A writable array is copied; the primitives' own
-    arrays are kept read-only and uncopied.
+    arrays are kept read-only and uncopied.  Compared by identity.
     """
 
     data: np.ndarray
@@ -183,10 +183,10 @@ def identity(n: int) -> BlockEnc:
     return _built(np.ones(n), 1.0, 0, 0.0, ResourceLedger(), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePrep:
-    """State-preparation artifact: the prepared amplitudes plus the ledger
-    of the O(log N)-depth amplitude-encoding circuit."""
+    """Prepared amplitudes plus the ledger of their O(log N)-depth
+    amplitude-encoding circuit; compared and hashed by identity."""
 
     state: np.ndarray
     ledger: ResourceLedger

@@ -320,11 +320,16 @@ def run(args) -> int:
 
     report = results[0] if args.method != "all" else {"schema": 1, "results": results}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     if errors:
         print(f"error: {'; '.join(errors)}", file=sys.stderr)
         return 1

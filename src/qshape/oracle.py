@@ -16,8 +16,10 @@ from .poly import MultiPoly, Poly
 __all__ = ["OracleResult", "oracle_convex", "oracle_monotone"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
+    """A reference verdict, compared by identity: a Jensen witness holds an array."""
+
     verdict: str  # "convex" | "not_convex" | "monotone" | "not_monotone" | "jensen_consistent" | "jensen_violated"
     witness: object = None
     details: dict | None = None

@@ -12,7 +12,6 @@ decision threshold come back Inconclusive.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -63,13 +62,13 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Sample points in the working domain [-1/2, 1/2]^dim.
 
     ``n`` is always a power of two; grids padded up to that repeat the last
     point, and ``n_original`` remembers the unpadded count so downstream
-    tests can mask the duplicates.
+    tests can mask the duplicates.  A grid compares and hashes by identity.
     """
 
     points: np.ndarray
@@ -131,10 +130,10 @@ class Grid:
         return be.identity(self.n)
 
     @functools.cached_property
-    def multivariate_memo(self) -> "_BuildMemo":
+    def multivariate_memo(self) -> dict:
         """The powers and term products that :func:`build_multivariate_M`
         builds from :attr:`axis_encodings`, kept for every call on the grid."""
-        return _BuildMemo(self.axis_encodings)
+        return {}
 
     @classmethod
     def uniform(cls, n: int, dim: int = 1) -> "Grid":
@@ -175,9 +174,9 @@ def _uniform_grid(n: int, dim: int) -> Grid:
     return Grid(points=points, n_original=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Convex weights: nonnegative, summing to one."""
+    """Convex weights: nonnegative, summing to one; compared by identity."""
 
     lambdas: np.ndarray
 
@@ -419,30 +418,18 @@ _BOX_OVERFLOW = ("coefficients overflow on this box: a term's |a prod_j M_j^k_j|
 _MEMO_CAP = 512
 
 
-class _BuildMemo:
-    """Encodings that :func:`build_multivariate_M` built from one tuple of
-    axis encodings, keyed by everything each build reads besides them: never
-    by a coefficient or a weight, so a hit returns the very encoding a fresh
-    build would make."""
-
-    def __init__(self, axis_encodings):
-        self.axis_encodings = tuple(axis_encodings)
-        self.entries = collections.OrderedDict()
-
-    def get(self, key, build):
-        """The encoding under ``key``, built by ``build()`` on a miss."""
-        entries = self.entries
-        if key in entries:
-            entries.move_to_end(key)
-            return entries[key]
-        value = entries[key] = build()
-        if len(entries) > _MEMO_CAP:
-            entries.popitem(last=False)
-        return value
+def _kept(memo: dict, key, build):
+    """The encoding ``memo`` keeps under ``key``, built by ``build()`` on a
+    miss.  Either way it is (re)inserted last, so the first entry is the
+    least recently used, and it is dropped past the cap."""
+    memo[key] = value = memo.pop(key) if key in memo else build()
+    if len(memo) > _MEMO_CAP:
+        del memo[next(iter(memo))]
+    return value
 
 
 def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
-                         value_scale: float = 1.0, memo: _BuildMemo | None = None) -> tuple[BlockEnc, float]:
+                         value_scale: float = 1.0, memo: dict | None = None) -> tuple[BlockEnc, float]:
     """Diagonal encoding with entries f(x)/correction at the points
     x_j = c_j + w_j t_j of a box, from per-axis diagonal encodings whose
     entries are v t_j, v = ``value_scale`` (1 for a grid's axis encodings,
@@ -460,10 +447,10 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
     returned correction, the sum of the weights' magnitudes, undoes
     everything at estimation time.
 
-    Powers and products are looked up in ``memo``, a :class:`_BuildMemo`
-    of these same axis encodings (a fresh one when None): a power by its
-    axis, the bits of alpha_j and beta_j, k and whether it is amplified, a
-    product by its powers' keys.
+    ``memo``, a dict, keeps powers and products across builds: a power under
+    its axis encoding itself, the bits of alpha_j and beta_j, k and whether
+    it is amplified, a product under its powers' keys, so one dict may serve
+    any encodings.  With None, nothing is kept and no key is made.
     """
     axis_encodings = list(axis_encodings)
     if len(axis_encodings) != f.dim:
@@ -478,11 +465,6 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
             raise ValueError("axis encodings must share a dimension")
         if abs(e.alpha - 1.0) > 1e-12:
             raise ValueError("axis encodings must be normalized to alpha = 1")
-    if memo is None:
-        memo = _BuildMemo(axis_encodings)
-    elif not (len(memo.axis_encodings) == f.dim
-              and all(a is b for a, b in zip(memo.axis_encodings, axis_encodings))):
-        raise ValueError("a build memo serves only the axis encodings it was made for")
     centres, widths = (np.zeros(f.dim), np.ones(f.dim)) if box is None else box
     # Python floats: a float power out of range raises, where numpy's warns
     axes = [(float(c), float(w), abs(float(c)) + float(w) / value_scale) for c, w in zip(centres, widths)]
@@ -490,23 +472,27 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
         raise ValueError("one box interval per variable required")
 
     @functools.cache
-    def power(j: int, k: int) -> tuple[BlockEnc, float, tuple]:
+    def power(j: int, k: int) -> tuple[BlockEnc, float, object]:
         """(x_j/M_j)^k as an encoding, the factor 1 or 2 by which its
-        entries understate it, and its memo key."""
+        entries understate it, and the key by which products name it."""
         c, w, m = axes[j]
+        e = axis_encodings[j]
         if c == 0.0 and k == 1:
-            return axis_encodings[j], 1.0, (j,)
+            return e, 1.0, e  # the encoding is its own key
         alpha, beta = c / m, w / (value_scale * m)
         amplified = ((abs(c) + w * _REACH) / m) ** k <= 0.75
 
         def build():
-            pw = transform(axis_encodings[j], Poly([0.5 * math.comb(k, i) * alpha ** (k - i) * beta**i
-                                                    for i in range(k + 1)]))
+            pw = transform(e, Poly([0.5 * math.comb(k, i) * alpha ** (k - i) * beta**i
+                                    for i in range(k + 1)]))
             return be.amplify(pw, 2.0) if amplified else pw
 
+        understated = 1.0 if amplified else 2.0
+        if memo is None:
+            return build(), understated, None
         # hex keeps the sign of a zero, which the power's coefficients keep
-        key = (j, alpha.hex(), beta.hex(), k, amplified)
-        return memo.get(key, build), 1.0 if amplified else 2.0, key
+        key = (e, alpha.hex(), beta.hex(), k, amplified)
+        return _kept(memo, key, build), understated, key
 
     weights, products = [], []
     for a, k in f.terms:
@@ -525,8 +511,9 @@ def build_multivariate_M(f: MultiPoly, axis_encodings, box=None,
             raise ValueError(_BOX_OVERFLOW)
         if weight != 0.0:  # a weight that underflows drops its term, as a zero coefficient would
             weights.append(weight)
-            products.append(memo.get(tuple(keys), lambda: be.product(*factors)) if factors
-                            else be.identity(n))
+            products.append(be.identity(n) if not factors
+                            else be.product(*factors) if memo is None
+                            else _kept(memo, tuple(keys), lambda: be.product(*factors)))
     if not weights:
         return BlockEnc(np.zeros(n), alpha=1.0, ancillas=0, eps=0.0), 1.0
     try:
@@ -555,7 +542,7 @@ def _jensen_estimates(f, grid: Grid, w: WeightVector, cfg: EstimatorConfig, box=
     sqrt_lam = w.sqrt_state
     axes = grid.axis_encodings
     if isinstance(f, MultiPoly):
-        # the grid side reads the grid's memo; the gadgets are this call's own
+        # the grid side reads the grid's memo; the gadgets are this call's own and keep none
         m_enc, f_scale = build_multivariate_M(f, axes, box, memo=grid.multivariate_memo)
         lhs_enc, lhs_scale = build_multivariate_M(
             f, [overlap_gadget(e, sqrt_lam) for e in axes], box, GADGET_FACTOR)

@@ -481,6 +481,16 @@ def test_missing_input_is_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_report_is_exit_1_with_one_error_line(tmp_path, capsys, where):
+    report = tmp_path / "nonexistent" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["test", "--input", write(tmp_path, CUBIC), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write report: ") and str(report) in err[0]
+
+
 def test_malformed_json_is_exit_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

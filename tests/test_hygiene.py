@@ -1,14 +1,19 @@
 """Every module-level import, constant and private function in the package
-is used where it is defined, or exported through ``__all__``.
+is used where it is defined, or exported through ``__all__``; and every
+dataclass that holds an array compares and hashes by identity.
 
 A stand-in for an unused-name lint, written with the standard library's
 ``ast`` so it runs without extra tools.
 """
 
 import ast
+import dataclasses
 import glob
+import importlib
 import os
+import types
 
+import numpy as np
 import pytest
 
 import qshape
@@ -87,3 +92,44 @@ def test_detects_unused_names(tmp_path):
         "    x: int = _USED\n"
     )
     assert sorted(_unused(str(src))) == ["_TOL", "_helper", "field", "os"]
+
+
+def _array_dataclasses(module) -> dict[str, bool]:
+    """Each dataclass defined in ``module`` with a field annotated
+    ``np.ndarray``, and whether it generates ``__eq__``.  One that does
+    compares the arrays, so ``==`` raises on a multi-entry one and the
+    class is unhashable."""
+    return {name: cls.__dataclass_params__.eq for name, cls in vars(module).items()
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+            and any(f.type in ("np.ndarray", np.ndarray) for f in dataclasses.fields(cls))}
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    held = {}
+    for path in _MODULES:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name != "__init__":
+            held.update(_array_dataclasses(importlib.import_module(f"qshape.{name}")))
+    assert set(held) >= {"BlockEnc", "StatePrep", "Grid", "WeightVector"}
+    assert [name for name, eq in held.items() if eq] == []
+
+
+def test_detects_array_dataclasses_with_eq():
+    sample = types.ModuleType("sample")
+
+    @dataclasses.dataclass(frozen=True)
+    class Compared:
+        values: np.ndarray
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class ByIdentity:
+        values: np.ndarray
+
+    @dataclasses.dataclass(frozen=True)
+    class Plain:
+        count: int
+
+    for cls in (Compared, ByIdentity, Plain):
+        cls.__module__ = "sample"
+        setattr(sample, cls.__name__, cls)
+    assert _array_dataclasses(sample) == {"Compared": True, "ByIdentity": False}

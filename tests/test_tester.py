@@ -18,7 +18,7 @@ import qshape.poly
 import qshape.qsvt
 import qshape.tester
 from qshape.blockenc import BlockEnc
-from qshape.estimate import EstimatorConfig, amplitude_estimate, overlap_gadget
+from qshape.estimate import GADGET_FACTOR, EstimatorConfig, amplitude_estimate, overlap_gadget
 from qshape.oracle import oracle_convex, oracle_monotone
 from qshape.poly import Bounds, MultiPoly, Poly, certified_sup, remap_domain
 from qshape.qsvt import transform
@@ -159,6 +159,26 @@ def test_uniform_grids_and_weights_are_shared():
     arrays = [g.points, g.identity.data, g.mask_complement.data,
               *(e.data for e in g.axis_encodings), w.lambdas, w.sqrt_state.state]
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    """Two values built from the same multi-entry arrays are two values:
+    == and hash read identity, and neither raises on the arrays."""
+    cap = MultiPoly([(-1.0, (2, 0)), (-1.0, (0, 2))], 2)
+    jensen = lambda: oracle_convex(cap, [[-0.25, 0.1], [0.25, 0.3]], weights=[0.5, 0.5])
+    builds = {
+        "BlockEnc": lambda: BlockEnc(np.array([0.5, -0.25]), alpha=1.0, ancillas=0, eps=0.0),
+        "StatePrep": lambda: be.encode_state([0.6, 0.8]),
+        "Grid": lambda: Grid.from_points([-0.25, 0.25]),
+        "WeightVector": lambda: WeightVector([0.25, 0.75]),
+        "OracleResult": jensen,
+    }
+    assert jensen().witness[0].shape == (2,)
+    for name, build in builds.items():
+        a, b = build(), build()
+        assert a == a and not a == b and a != b, name
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b), name
+        assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2, name
 
 
 def test_calls_on_a_shared_grid_build_its_parts_once(monkeypatch):
@@ -892,7 +912,7 @@ def test_jensen_reuses_the_grid_memo_on_centred_boxes(monkeypatch):
     exec(_MEMO_CASE, case)
     grid = case["grid"]
     assert grid is Grid.uniform(32, dim=2)
-    grid.multivariate_memo.entries.clear()
+    grid.multivariate_memo.clear()
     grid_side = []
 
     def counting_transform(e, *args):
@@ -914,6 +934,16 @@ def test_jensen_reuses_the_grid_memo_on_centred_boxes(monkeypatch):
     assert proc.stdout == case["summary"](warm) + "\n"
 
 
+def _assert_same_build(got, ref):
+    """Two (encoding, correction) builds agree bit for bit: data, alpha,
+    ancillas, eps, bound, correction and ledger."""
+    (e, corr), (r, ref_corr) = got, ref
+    assert e.data.tobytes() == r.data.tobytes()
+    assert (e.alpha, e.ancillas, e.eps.hex(), e.bound.hex(), corr.hex()) == \
+        (r.alpha, r.ancillas, r.eps.hex(), r.bound.hex(), ref_corr.hex())
+    assert e.ledger == r.ledger
+
+
 def test_grid_memo_stays_within_its_cap():
     """Distinct off-centre boxes, one more than the cap, each add entries;
     the memo drops the least recently used, and every build equals a fresh
@@ -924,15 +954,29 @@ def test_grid_memo_stays_within_its_cap():
     f = MultiPoly([(1.0, (2,)), (-0.5, (3,))], 1)
     for i in range(_MEMO_CAP + 1):
         box = (np.array([(-1) ** i * (0.1 + i // 2 / 1024)]), np.ones(1))
-        e, corr = build_multivariate_M(f, grid.axis_encodings, box, memo=memo)
-        assert len(memo.entries) <= _MEMO_CAP
+        got = build_multivariate_M(f, grid.axis_encodings, box, memo=memo)
+        assert len(memo) <= _MEMO_CAP
         if i % 64 == 1 or i == _MEMO_CAP:
-            ref, ref_corr = build_multivariate_M(f, grid.axis_encodings, box)
-            assert e.data.tobytes() == ref.data.tobytes()
-            assert (e.alpha, e.ancillas, e.eps.hex(), e.bound.hex(), corr.hex()) == \
-                (ref.alpha, ref.ancillas, ref.eps.hex(), ref.bound.hex(), ref_corr.hex())
-            assert e.ledger == ref.ledger
-    assert len(memo.entries) == _MEMO_CAP
+            _assert_same_build(got, build_multivariate_M(f, grid.axis_encodings, box))
+    assert len(memo) == _MEMO_CAP
+
+
+def test_one_memo_serves_every_axis_encoding():
+    """One dict passed to builds on the axis encodings of two grids, on one
+    box each time, and to a build on Jensen gadgets: a key names the
+    encoding it reads, so no build is answered with another's powers, and
+    each equals a build without a memo bit for bit, cold and warm."""
+    f = MultiPoly([(0.7, (2, 0)), (-0.4, (1, 3)), (1.1, (0, 2)), (0.3, (1, 0))], 2)
+    sqrt_lam = WeightVector.uniform(8).sqrt_state
+    builds = [(Grid.uniform(8, 2).axis_encodings, 1.0), (Grid.uniform(16, 2).axis_encodings, 1.0),
+              ([overlap_gadget(e, sqrt_lam) for e in Grid.uniform(8, 2).axis_encodings], GADGET_FACTOR)]
+    memo = {}
+    for box in [None, (np.array([0.25, -0.5]), np.array([1.5, 0.75]))] * 2:
+        for encs, scale in builds:
+            _assert_same_build(build_multivariate_M(f, encs, box, scale, memo=memo),
+                               build_multivariate_M(f, encs, box, scale))
+    named = {k[0] for k in memo if type(k) is tuple and isinstance(k[0], BlockEnc)}
+    assert all(e in named for encs, _ in builds for e in encs)
 
 
 def _reference_correction(f: MultiPoly, box, value_scale: float):
@@ -1092,9 +1136,6 @@ LIBRARY_REFUSALS = {
                   "axis encodings must share a dimension"),
     "box-axes": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8, 2).axis_encodings, box=_UNIT_BOX),
                  "one box interval per variable required"),
-    "memo-axes": (lambda: build_multivariate_M(_BOWL, Grid.uniform(8, 2).axis_encodings,
-                                               memo=Grid.uniform(16, 2).multivariate_memo),
-                  "a build memo serves only the axis encodings it was made for"),
 }
 
 
